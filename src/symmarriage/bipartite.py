@@ -2,9 +2,9 @@
 
 The matcher is deterministic: vertices are visited in ascending index
 order, so repeated calls on the same graph return the identical matching.
-When a set of left vertices cannot all be matched at once, a deficiency
+When a maximum matching leaves a left vertex exposed, a deficiency
 certificate (a subset whose neighborhood is strictly smaller, the
-König/Hall witness) can be extracted.
+König/Hall witness) is read off that matching without matching again.
 """
 
 from __future__ import annotations
@@ -160,46 +160,33 @@ def _augment(adj, match_l, match_r, dist, goal, root) -> bool:
     return False
 
 
-def uncovered_left(graph: BipartiteGraph, matching: Matching) -> tuple[int, ...]:
-    """Left vertices not touched by any matching edge, ascending."""
-    covered = matching.left_map
-    return tuple(u for u in range(graph.left_count) if u not in covered)
-
-
 def deficiency_certificate(
-    graph: BipartiteGraph, required: Iterable[int]
+    graph: BipartiteGraph, matching: Matching, left: Iterable[int]
 ) -> DeficiencyCertificate | None:
-    """Witness that the ``required`` left vertices cannot all be matched.
+    """Witness, read off a maximum ``matching``, that ``left`` cannot all be matched.
 
-    Matches the subgraph induced by ``required`` on the left.  When every
-    required vertex is covered there, no witness exists and the result is
-    None.  Otherwise alternating reachability from the smallest exposed
-    vertex yields a required subset adjacent to strictly fewer right
-    vertices; certificates are self-checking by recomputing the union.
+    Returns None when the matching covers every vertex of ``left``.
+    Otherwise alternating reachability from the smallest exposed vertex of
+    ``left`` (König) yields a left subset adjacent to strictly fewer right
+    vertices; the matching must be maximum for that bound to hold.
     """
-    req = sorted(set(required))
-    for u in req:
-        if not 0 <= u < graph.left_count:
-            raise ValueError(f"required vertex {u} out of range")
-    if len(req) == graph.left_count:
-        sub = graph
-    else:
-        sub = BipartiteGraph(
-            len(req), graph.right_count, tuple(graph.adjacency[u] for u in req)
-        )
-    matching = max_matching(sub)
     match_l = matching.left_map
-    match_r = matching.right_map
-    exposed = [u for u in range(len(req)) if u not in match_l]
-    if not exposed:
+    exposed = None
+    for u in left:
+        if not 0 <= u < graph.left_count:
+            raise ValueError(f"left vertex {u} out of range")
+        if u not in match_l and (exposed is None or u < exposed):
+            exposed = u
+    if exposed is None:
         return None
-    seen_left = {exposed[0]}
+    match_r = matching.right_map
+    seen_left = {exposed}
     seen_right: set[int] = set()
-    frontier = [exposed[0]]
+    frontier = [exposed]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for v in sub.adjacency[u]:
+            for v in graph.adjacency[u]:
                 if v not in seen_right:
                     seen_right.add(v)
                     w = match_r.get(v)
@@ -207,6 +194,4 @@ def deficiency_certificate(
                         seen_left.add(w)
                         nxt.append(w)
         frontier = nxt
-    subset = tuple(req[u] for u in sorted(seen_left))
-    neighborhood = tuple(sorted(seen_right))
-    return DeficiencyCertificate(subset, neighborhood)
+    return DeficiencyCertificate(tuple(sorted(seen_left)), tuple(sorted(seen_right)))

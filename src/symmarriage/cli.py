@@ -2,7 +2,7 @@
 
 Exit codes are part of the contract so that shell harnesses stay portable:
 
-* solve: 0 solved, 1 unsolvable, 2 infeasible
+* solve: 0 solved, 1 unsolvable, 2 infeasible, 3 size guard (--method weight)
 * check: 0 condition holds, 1 violator found, 2 infeasible, 3 size guard
 * verify: 0 claim valid, 1 claim invalid
 * any command: 64 usage error, 65 unreadable/malformed/invalid input
@@ -26,6 +26,7 @@ from .hall import SizeLimitError, hall_bicriteria
 from .instances import (
     Assignment,
     Infeasible,
+    InvariantError,
     SmpInstance,
     assignment_violations,
     cmp_to_smp,
@@ -34,7 +35,7 @@ from .instances import (
     validate_raw,
 )
 from .star import solve, solve_via_subproblems, unsolvable_violator
-from .weighted import solvable_via_weight, weighted_assignment
+from .weighted import weighted_assignment
 
 EXIT_OK = 0
 EXIT_UNSOLVABLE = 1
@@ -162,12 +163,17 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     instance = prepared
     if args.method == "weight":
-        if solvable_via_weight(instance):
+        try:
             assignment = weighted_assignment(instance)
+        except SizeLimitError as exc:
+            print(f"size limit: {exc}", file=sys.stderr)
+            return EXIT_SIZE_LIMIT
+        if assignment is not None:
             doc = ResultDoc("solved", assignment=assignment.pairs)
         else:
             violator = unsolvable_violator(instance)
-            assert violator is not None
+            if violator is None:
+                raise InvariantError("weight route found no pairing but no violator either")
             doc = ResultDoc("unsolvable", violator=violator)
     else:
         route = solve if args.method == "star" else solve_via_subproblems

@@ -142,12 +142,12 @@ class Assignment:
         return dict(self.pairs)
 
 
-@dataclass(frozen=True)
-class ListedSets:
-    """The members holding lists, per side, in roster order."""
+class InvariantError(AssertionError):
+    """An internal invariant guarding an answer failed; the answer is not trusted.
 
-    g_listed: tuple[str, ...]
-    b_listed: tuple[str, ...]
+    Raised explicitly rather than by ``assert``, so the check survives
+    ``python -O``.
+    """
 
 
 @dataclass(frozen=True)
@@ -155,22 +155,6 @@ class Infeasible:
     """Refusal preprocessing emptied this member's list; no solution can exist."""
 
     member: str
-
-
-@dataclass(frozen=True)
-class NotBaby:
-    """Witness that an instance is not a symmetric-introductions instance."""
-
-    reason: str
-    witness: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class TriviallyUnsolvable:
-    """A one-sided subproblem whose pared lists came back empty for ``members``."""
-
-    side: str
-    members: tuple[str, ...]
 
 
 def validate(instance: SmpInstance) -> list[str]:
@@ -248,33 +232,6 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
     return SmpInstance(girls, boys, girl_lists, boy_lists)
 
 
-def listed_sets(instance: SmpInstance) -> ListedSets:
-    """The girls and boys who hold lists, in roster order."""
-    return ListedSets(
-        tuple(g for g in instance.girls if instance.girl_lists[g]),
-        tuple(b for b in instance.boys if instance.boy_lists[b]),
-    )
-
-
-def is_list_compatible(instance: SmpInstance, girl: str, boy: str) -> bool:
-    """True iff the two are on each other's lists.
-
-    Compatibility is defined only between listed members; asking about a
-    wildcard is a usage error.
-    """
-    if girl not in instance.girl_lists:
-        raise ValueError(f"unknown girl '{girl}'")
-    if boy not in instance.boy_lists:
-        raise ValueError(f"unknown boy '{boy}'")
-    girl_list = instance.girl_lists[girl]
-    boy_list = instance.boy_lists[boy]
-    if not girl_list:
-        raise ValueError(f"girl '{girl}' has no list")
-    if not boy_list:
-        raise ValueError(f"boy '{boy}' has no list")
-    return boy in girl_list and girl in boy_list
-
-
 def pared_index_lists(
     instance: SmpInstance,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -315,62 +272,6 @@ def pare_lists(
         boys[b]: tuple(girls[g] for g in pared_b[b]) for b in instance.listed_boy_idx
     }
     return by_girl, by_boy
-
-
-def cmp_subproblems(
-    instance: SmpInstance,
-) -> tuple[CmpInstance | TriviallyUnsolvable, CmpInstance | TriviallyUnsolvable]:
-    """The two one-sided subproblems over pared lists.
-
-    The girls' subproblem asks for an injective choice of a pared-list boy
-    for every listed girl over all boys; the boys' side is symmetric.  A side
-    with an empty pared list cannot form a one-sided instance (lists must be
-    nonempty) and is flagged ``TriviallyUnsolvable`` instead.
-    """
-    by_girl, by_boy = pare_lists(instance)
-    empty_g = tuple(g for g, row in by_girl.items() if not row)
-    empty_b = tuple(b for b, row in by_boy.items() if not row)
-    girls_sub: CmpInstance | TriviallyUnsolvable
-    boys_sub: CmpInstance | TriviallyUnsolvable
-    if empty_g:
-        girls_sub = TriviallyUnsolvable("girls", empty_g)
-    else:
-        girls_sub = CmpInstance(tuple(by_girl), instance.boys, by_girl)
-    if empty_b:
-        boys_sub = TriviallyUnsolvable("boys", empty_b)
-    else:
-        boys_sub = CmpInstance(tuple(by_boy), instance.girls, by_boy)
-    return girls_sub, boys_sub
-
-
-def baby_to_cmp(instance: SmpInstance) -> CmpInstance | NotBaby:
-    """Reduce a symmetric-introductions instance to its one-sided form.
-
-    Requires every list nonempty, equal side sizes, and the introduction
-    symmetry (each side lists the other mutually).  The first condition
-    violated, in that order, is reported as ``NotBaby``.
-    """
-    for g in instance.girls:
-        if not instance.girl_lists[g]:
-            return NotBaby(f"girl '{g}' has no list", (g,))
-    for b in instance.boys:
-        if not instance.boy_lists[b]:
-            return NotBaby(f"boy '{b}' has no list", (b,))
-    if len(instance.girls) != len(instance.boys):
-        return NotBaby(
-            f"sides differ in size ({len(instance.girls)} girls, {len(instance.boys)} boys)"
-        )
-    boy_sets = {b: set(instance.boy_lists[b]) for b in instance.boys}
-    girl_sets = {g: set(instance.girl_lists[g]) for g in instance.girls}
-    for g in instance.girls:
-        for b in instance.girl_lists[g]:
-            if g not in boy_sets[b]:
-                return NotBaby(f"'{b}' is listed by '{g}' but not vice versa", (g, b))
-    for b in instance.boys:
-        for g in instance.boy_lists[b]:
-            if b not in girl_sets[g]:
-                return NotBaby(f"'{g}' is listed by '{b}' but not vice versa", (g, b))
-    return CmpInstance(instance.girls, instance.boys, dict(instance.girl_lists))
 
 
 def cmp_to_smp(cmp: CmpInstance) -> SmpInstance:

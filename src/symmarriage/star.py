@@ -21,9 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bipartite import BipartiteGraph, Matching, deficiency_certificate, max_matching
+from .bipartite import (
+    BipartiteGraph,
+    DeficiencyCertificate,
+    Matching,
+    deficiency_certificate,
+    max_matching,
+)
 from .hall import HallViolator
-from .instances import Assignment, SmpInstance, pared_index_lists
+from .instances import Assignment, InvariantError, SmpInstance, pared_index_lists
 
 
 @dataclass(frozen=True)
@@ -253,12 +259,14 @@ def _apply_chain(
             break
         xs.append(nxt_x)
     for u, v in removed:
-        assert pair_left.get(u) == v
+        if pair_left.get(u) != v:
+            raise InvariantError(f"chain swap removes unmatched edge ({u}, {v})")
         del pair_left[u]
         del pair_right[v]
     adj = star.left_adjacency_sets
     for u, v in added:
-        assert v in adj[u] and u not in pair_left and v not in pair_right
+        if v not in adj[u] or u in pair_left or v in pair_right:
+            raise InvariantError(f"chain swap cannot add edge ({u}, {v})")
         pair_left[u] = v
         pair_right[v] = u
 
@@ -291,9 +299,11 @@ def repair_mismatches(
         else:
             _apply_chain(star, pair_left, pair_right, v, star.listed_girls[u - n_g], False)
         remaining = _mismatched_edges(star, pair_left)
-        assert len(remaining) < len(mismatched)
+        if len(remaining) >= len(mismatched):
+            raise InvariantError("chain swap did not reduce the mismatch count")
         mismatched = remaining
-    assert len(pair_left) == len(matching.pairs)
+    if len(pair_left) != len(matching.pairs):
+        raise InvariantError("repair changed the matching size")
     if stats is not None:
         stats["initial_mismatches"] = initial
         stats["iterations"] = iterations
@@ -327,6 +337,34 @@ def extract_assignment(star: StarGraph, matching: Matching) -> Assignment:
     return Assignment(tuple(pairs))
 
 
+def _violator(
+    side: str, names: tuple[str, ...], cert: DeficiencyCertificate | None
+) -> HallViolator | None:
+    if cert is None:
+        return None
+    return HallViolator(side, tuple(names[u] for u in cert.subset), len(cert.neighborhood))
+
+
+def _match_side(
+    instance: SmpInstance, pared: tuple, side: str
+) -> tuple[Matching, HallViolator | None]:
+    """Match one side's pared one-sided graph, listed members on the left.
+
+    ``pared`` is ``pared_index_lists(instance)``.  Returns the maximum
+    matching and, when it leaves a listed member exposed, the violator read
+    off it.
+    """
+    girls = side == "girls"
+    listed = instance.listed_girl_idx if girls else instance.listed_boy_idx
+    names = instance.girls if girls else instance.boys
+    rows = pared[0] if girls else pared[1]
+    n_right = len(instance.boys) if girls else len(instance.girls)
+    graph = BipartiteGraph(len(listed), n_right, tuple(rows[m] for m in listed))
+    matching = max_matching(graph)
+    cert = deficiency_certificate(graph, matching, range(len(listed)))
+    return matching, _violator(side, tuple(names[m] for m in listed), cert)
+
+
 def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
     """Certificate for an unsolvable instance, None when both one-sided
     subproblems are matchable.
@@ -334,24 +372,8 @@ def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
     The girls' subproblem is examined first; certificates are stated over
     pared lists.
     """
-    pared_g, pared_b = pared_index_lists(instance)
-    listed_g = instance.listed_girl_idx
-    listed_b = instance.listed_boy_idx
-    g_graph = BipartiteGraph(
-        len(listed_g), len(instance.boys), tuple(pared_g[g] for g in listed_g)
-    )
-    cert = deficiency_certificate(g_graph, range(len(listed_g)))
-    if cert is not None:
-        members = tuple(instance.girls[listed_g[i]] for i in cert.subset)
-        return HallViolator("girls", members, len(cert.neighborhood))
-    b_graph = BipartiteGraph(
-        len(listed_b), len(instance.girls), tuple(pared_b[b] for b in listed_b)
-    )
-    cert = deficiency_certificate(b_graph, range(len(listed_b)))
-    if cert is not None:
-        members = tuple(instance.boys[listed_b[i]] for i in cert.subset)
-        return HallViolator("boys", members, len(cert.neighborhood))
-    return None
+    pared = pared_index_lists(instance)
+    return _match_side(instance, pared, "girls")[1] or _match_side(instance, pared, "boys")[1]
 
 
 def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:
@@ -359,18 +381,24 @@ def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment
 
     A maximum matching of the star graph reaching the listed-member count
     is repaired mismatch-free and read off as the pairing; a smaller one
-    proves unsolvability, certified by a violating subset from whichever
-    one-sided subproblem fails (girls checked first).
+    proves unsolvability.  The star graph is the disjoint union of the two
+    pared one-sided graphs, so a girls' violator is read off the star
+    matching itself; only when every listed girl is covered is the boys'
+    side matched on its own (boys on the left) for its certificate.
     """
     star = build_star_graph(instance)
     matching = max_matching(star.graph)
-    assert len(matching.pairs) <= star.target_size
+    if len(matching.pairs) > star.target_size:
+        raise InvariantError("star matching exceeds the listed-member bound")
     if len(matching.pairs) == star.target_size:
         repaired = repair_mismatches(star, matching, repair_stats)
         return extract_assignment(star, repaired)
-    violator = unsolvable_violator(instance)
+    cert = deficiency_certificate(star.graph, matching, star.listed_girls)
+    violator = _violator("girls", instance.girls, cert)
     if violator is None:
-        raise AssertionError("deficient star matching but both subproblems matchable")
+        violator = _match_side(instance, pared_index_lists(instance), "boys")[1]
+    if violator is None:
+        raise InvariantError("deficient star matching but both subproblems matchable")
     return Unsolvable(violator)
 
 
@@ -383,25 +411,14 @@ def solve_via_subproblems(instance: SmpInstance) -> Assignment | Unsolvable:
     exercise the decomposition equivalence; ``solve`` is the production
     route and the two agree on solvability.
     """
-    pared_g, pared_b = pared_index_lists(instance)
+    pared = pared_index_lists(instance)
+    g_matching, violator = _match_side(instance, pared, "girls")
+    if violator is None:
+        b_matching, violator = _match_side(instance, pared, "boys")
+    if violator is not None:
+        return Unsolvable(violator)
     listed_g = instance.listed_girl_idx
     listed_b = instance.listed_boy_idx
-    g_graph = BipartiteGraph(
-        len(listed_g), len(instance.boys), tuple(pared_g[g] for g in listed_g)
-    )
-    g_matching = max_matching(g_graph)
-    if len(g_matching.pairs) < len(listed_g):
-        cert = deficiency_certificate(g_graph, range(len(listed_g)))
-        members = tuple(instance.girls[listed_g[i]] for i in cert.subset)
-        return Unsolvable(HallViolator("girls", members, len(cert.neighborhood)))
-    b_graph = BipartiteGraph(
-        len(listed_b), len(instance.girls), tuple(pared_b[b] for b in listed_b)
-    )
-    b_matching = max_matching(b_graph)
-    if len(b_matching.pairs) < len(listed_b):
-        cert = deficiency_certificate(b_graph, range(len(listed_b)))
-        members = tuple(instance.boys[listed_b[i]] for i in cert.subset)
-        return Unsolvable(HallViolator("boys", members, len(cert.neighborhood)))
     star = build_star_graph(instance)
     pairs = []
     for k, b in g_matching.pairs:

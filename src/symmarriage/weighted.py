@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instances import Assignment, SmpInstance
+from .hall import SizeLimitError
+from .instances import Assignment, InvariantError, SmpInstance
+
+# Largest side the weight route accepts: it builds dense n x n tables and
+# runs an O(n^3) assignment, so larger instances belong to the star route.
+WEIGHT_GUARD = 500
 
 
 @dataclass(frozen=True)
@@ -34,10 +39,16 @@ class WeightedBipartiteGraph:
 
 
 def build_weighted(instance: SmpInstance) -> WeightedBipartiteGraph:
-    """Weight matrix of the instance, padded square with zeros."""
+    """Weight matrix of the instance, padded square with zeros.
+
+    Raises SizeLimitError, before any table is allocated, when a side has
+    more than ``WEIGHT_GUARD`` members.
+    """
     n_g = len(instance.girls)
     n_b = len(instance.boys)
     n = max(n_g, n_b)
+    if n > WEIGHT_GUARD:
+        raise SizeLimitError(f"larger side has {n} members (limit {WEIGHT_GUARD})")
     rows = [[0] * n for _ in range(n)]
     girl_rows = instance.girl_lists_idx
     boy_rows = instance.boy_lists_idx
@@ -123,16 +134,19 @@ def hungarian_max_weight(
     return total, tuple((i, columns[i]) for i in range(n))
 
 
-def _threshold(instance: SmpInstance) -> int:
-    return len(instance.listed_girl_idx) + len(instance.listed_boy_idx)
+def _max_weight(instance: SmpInstance):
+    """Weight graph, max-weight pairs, and whether the total meets the threshold."""
+    graph = build_weighted(instance)
+    total, pairs = hungarian_max_weight(graph)
+    target = len(instance.listed_girl_idx) + len(instance.listed_boy_idx)
+    if total > target:
+        raise InvariantError(f"matching weight {total} exceeds the listed-member bound {target}")
+    return graph, pairs, total == target
 
 
 def solvable_via_weight(instance: SmpInstance) -> bool:
     """True iff the maximum matching weight reaches the listed-member count."""
-    total, _ = hungarian_max_weight(build_weighted(instance))
-    target = _threshold(instance)
-    assert total <= target, "matching weight exceeded the listed-member bound"
-    return total == target
+    return _max_weight(instance)[2]
 
 
 def weighted_assignment(instance: SmpInstance) -> Assignment | None:
@@ -142,11 +156,8 @@ def weighted_assignment(instance: SmpInstance) -> Assignment | None:
     a valid assignment exactly when the threshold is met; returns None
     otherwise.
     """
-    graph = build_weighted(instance)
-    total, pairs = hungarian_max_weight(graph)
-    target = _threshold(instance)
-    assert total <= target, "matching weight exceeded the listed-member bound"
-    if total < target:
+    graph, pairs, solvable = _max_weight(instance)
+    if not solvable:
         return None
     n_g = len(instance.girls)
     n_b = len(instance.boys)

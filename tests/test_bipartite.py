@@ -8,7 +8,6 @@ from symmarriage import (
     Matching,
     deficiency_certificate,
     max_matching,
-    uncovered_left,
 )
 
 from .conftest import bipartite_adjacencies, brute_matching_size
@@ -81,49 +80,46 @@ class TestMaxMatching:
         assert max_matching(g).pairs == max_matching(g).pairs
 
 
-class TestUncoveredLeft:
-    def test_perfect_matching_leaves_none(self):
-        g = graph(2, 2, [(0,), (1,)])
-        assert uncovered_left(g, max_matching(g)) == ()
-
-    def test_empty_matching_leaves_all(self):
-        g = graph(2, 2, [(), ()])
-        assert uncovered_left(g, Matching(())) == (0, 1)
-
-    def test_shared_neighbor_leaves_second(self):
-        # Ascending order matches vertex 0 first, so 1 stays exposed.
-        m = max_matching(SHARED_NEIGHBOR)
-        assert uncovered_left(SHARED_NEIGHBOR, m) == (1,)
-
-
 class TestDeficiencyCertificate:
     def test_shared_neighbor_certificate(self):
-        cert = deficiency_certificate(SHARED_NEIGHBOR, {0, 1})
+        m = max_matching(SHARED_NEIGHBOR)
+        cert = deficiency_certificate(SHARED_NEIGHBOR, m, (0, 1))
         assert cert.subset == (0, 1)
         assert cert.neighborhood == (0,)
 
     def test_perfect_matching_has_no_certificate(self):
         g = graph(2, 2, [(0,), (1,)])
-        assert deficiency_certificate(g, {0, 1}) is None
+        assert deficiency_certificate(g, max_matching(g), (0, 1)) is None
 
     def test_empty_required_is_vacuous(self):
-        assert deficiency_certificate(SHARED_NEIGHBOR, set()) is None
+        m = max_matching(SHARED_NEIGHBOR)
+        assert deficiency_certificate(SHARED_NEIGHBOR, m, ()) is None
 
     def test_restriction_ignores_other_left_vertices(self):
-        # Vertex 1 alone is matchable even though a full maximum matching
-        # may prefer vertex 0.
-        assert deficiency_certificate(SHARED_NEIGHBOR, {1}) is None
+        # The matching leaves vertex 1 exposed, but only vertex 0 must be
+        # covered.
+        m = max_matching(SHARED_NEIGHBOR)
+        assert m.pairs == ((0, 0),)
+        assert deficiency_certificate(SHARED_NEIGHBOR, m, (0,)) is None
 
     def test_rejects_out_of_range_required(self):
         with pytest.raises(ValueError, match="out of range"):
-            deficiency_certificate(SHARED_NEIGHBOR, {5})
+            deficiency_certificate(SHARED_NEIGHBOR, Matching(()), (5,))
+
+    def test_starts_from_smallest_exposed_vertex(self):
+        # Vertices 1 and 3 are exposed; reachability from 1 stays in the
+        # first component.
+        g = graph(4, 2, [(0,), (0,), (1,), (1,)])
+        cert = deficiency_certificate(g, max_matching(g), (3, 2, 1, 0))
+        assert cert.subset == (0, 1)
+        assert cert.neighborhood == (0,)
 
     @given(bipartite_adjacencies())
     @settings(deadline=None, max_examples=300)
     def test_certificate_self_checks(self, data):
         n_left, n_right, rows = data
         g = graph(n_left, n_right, rows)
-        cert = deficiency_certificate(g, range(n_left))
+        cert = deficiency_certificate(g, max_matching(g), range(n_left))
         if cert is None:
             assert len(max_matching(g)) == n_left
         else:
@@ -135,10 +131,10 @@ class TestDeficiencyCertificate:
 
     @given(bipartite_adjacencies())
     @settings(deadline=None, max_examples=300)
-    def test_none_iff_required_subgraph_covered(self, data):
+    def test_none_iff_left_covered(self, data):
         n_left, n_right, rows = data
-        for required in (range(n_left), range(0, n_left, 2)):
-            req = tuple(required)
-            sub = graph(len(req), n_right, [rows[u] for u in req])
-            covered = len(max_matching(sub)) == len(req)
-            assert (deficiency_certificate(g := graph(n_left, n_right, rows), req) is None) == covered
+        g = graph(n_left, n_right, rows)
+        m = max_matching(g)
+        for left in (range(n_left), range(0, n_left, 2)):
+            covered = all(u in m.left_map for u in left)
+            assert (deficiency_certificate(g, m, left) is None) == covered

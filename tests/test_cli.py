@@ -1,11 +1,13 @@
 """Command-line interface: formats, exit codes, round trips, agreement."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from symmarriage import SmpInstance, validate_raw
 from symmarriage.cli import main
+from symmarriage.weighted import WEIGHT_GUARD
 from symmarriage.fileio import (
     ParseError,
     ResultDoc,
@@ -189,6 +191,31 @@ class TestSolveCommand:
         )
         assert main(["solve", path]) == 65
         assert "unknown boy 'b9'" in capsys.readouterr().err
+
+    def test_weight_size_guard(self, tmp_path, capsys):
+        # One member over the guard: refused before the dense weight tables
+        # (WEIGHT_GUARD^2 entries each) are allocated.
+        girls = [f"g{i}" for i in range(WEIGHT_GUARD + 1)]
+        doc = {
+            "version": 1,
+            "girls": girls,
+            "boys": ["b1"],
+            "girl_lists": {g: ["b1"] for g in girls},
+            "boy_lists": {},
+        }
+        path = write_doc(tmp_path, "big.json", doc)
+        out = tmp_path / "result.json"
+        tracemalloc.start()
+        try:
+            code = main(["solve", path, "--method", "weight", "--output", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"size limit: larger side has {WEIGHT_GUARD + 1} members (limit {WEIGHT_GUARD})\n"
+        assert peak < 8 * WEIGHT_GUARD**2
 
     def test_stdout_default(self, i1_file, capsys):
         assert main(["solve", i1_file]) == 0

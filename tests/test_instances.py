@@ -1,24 +1,23 @@
-"""Instance model: validation, refusals, paring, reductions."""
+"""Instance model: validation, refusals, paring, the one-sided embedding."""
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symmarriage import (
     Assignment,
     CmpInstance,
+    HallViolator,
     Infeasible,
-    NotBaby,
     RawInstance,
     SmpInstance,
-    TriviallyUnsolvable,
     assignment_violations,
-    baby_to_cmp,
-    cmp_subproblems,
     cmp_to_smp,
-    is_list_compatible,
-    listed_sets,
+    hall_condition_cmp,
     pare_lists,
     preprocess_refusals,
+    solve,
+    unsolvable_violator,
     validate,
     validate_raw,
 )
@@ -98,45 +97,44 @@ class TestPreprocessRefusals:
         assert not mentioned & set(refusers)
 
 
+def listed_names(inst):
+    """The girls and boys who hold lists, in roster order."""
+    return (
+        tuple(inst.girls[g] for g in inst.listed_girl_idx),
+        tuple(inst.boys[b] for b in inst.listed_boy_idx),
+    )
+
+
 class TestListedSets:
     def test_all_wildcards(self):
         inst = SmpInstance.build(["g1"], ["b1"], {}, {})
-        ls = listed_sets(inst)
-        assert ls.g_listed == () and ls.b_listed == ()
+        assert listed_names(inst) == ((), ())
 
     def test_cmp_shape(self):
         inst = SmpInstance.build(["g1", "g2"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {})
-        ls = listed_sets(inst)
-        assert ls.g_listed == ("g1", "g2") and ls.b_listed == ()
+        assert listed_names(inst) == (("g1", "g2"), ())
 
     def test_i1(self, i1):
-        ls = listed_sets(i1)
-        assert ls.g_listed == ("g1",) and ls.b_listed == ("b1",)
+        assert listed_names(i1) == (("g1",), ("b1",))
 
 
 class TestListCompatible:
+    """Between two listed members, paring keeps exactly the mutual entries."""
+
     def test_mutual(self):
         inst = SmpInstance.build(["g"], ["b"], {"g": ["b"]}, {"b": ["g"]})
-        assert is_list_compatible(inst, "g", "b")
+        assert pare_lists(inst) == ({"g": ("b",)}, {"b": ("g",)})
 
     def test_one_sided(self):
         inst = SmpInstance.build(["g", "h"], ["b"], {"g": ["b"]}, {"b": ["h"]})
-        assert not is_list_compatible(inst, "g", "b")
+        by_girl, by_boy = pare_lists(inst)
+        assert by_girl["g"] == () and by_boy["b"] == ("h",)
 
     def test_i3_all_mutual(self, i3):
+        by_girl, by_boy = pare_lists(i3)
         for g in i3.girls:
             for b in i3.boys:
-                assert is_list_compatible(i3, g, b)
-
-    def test_wildcard_faults(self, i1):
-        with pytest.raises(ValueError, match="has no list"):
-            is_list_compatible(i1, "g2", "b1")
-        with pytest.raises(ValueError, match="has no list"):
-            is_list_compatible(i1, "g1", "b2")
-
-    def test_unknown_member_faults(self, i1):
-        with pytest.raises(ValueError, match="unknown"):
-            is_list_compatible(i1, "gx", "b1")
+                assert b in by_girl[g] and g in by_boy[b]
 
 
 class TestPareLists:
@@ -192,59 +190,55 @@ class TestPareLists:
 
 
 class TestCmpSubproblems:
+    """The one-sided subproblems over pared lists, as the certificate sees them."""
+
     def test_i1(self, i1):
-        girls_sub, boys_sub = cmp_subproblems(i1)
-        assert girls_sub == CmpInstance(("g1",), ("b1", "b2"), {"g1": ("b2",)})
-        assert boys_sub == CmpInstance(("b1",), ("g1", "g2"), {"b1": ("g2",)})
+        assert unsolvable_violator(i1) is None
 
     def test_all_wildcards_vacuous(self):
         inst = SmpInstance.build(["g1"], ["b1"], {}, {})
-        girls_sub, boys_sub = cmp_subproblems(inst)
-        assert girls_sub.left == () and boys_sub.left == ()
+        assert pare_lists(inst) == ({}, {})
+        assert unsolvable_violator(inst) is None
 
     def test_empty_pared_list_flagged(self):
         inst = SmpInstance.build(
             ["g1", "g2"], ["b1"], {"g1": ["b1"]}, {"b1": ["g2"]}
         )
-        girls_sub, boys_sub = cmp_subproblems(inst)
-        assert girls_sub == TriviallyUnsolvable("girls", ("g1",))
-        assert isinstance(boys_sub, CmpInstance)
+        assert unsolvable_violator(inst) == HallViolator("girls", ("g1",), 0)
+
+
+@st.composite
+def symmetric_introductions(draw, max_side: int = 5):
+    """Equal sides, every list nonempty, each side listing the other mutually."""
+    n = draw(st.integers(1, max_side))
+    rows = [
+        draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        for _ in range(n)
+    ]
+    assume(all(any(j in row for row in rows) for j in range(n)))
+    girls = tuple(f"g{i + 1}" for i in range(n))
+    boys = tuple(f"b{j + 1}" for j in range(n))
+    girl_lists = {girls[i]: tuple(boys[j] for j in sorted(row)) for i, row in enumerate(rows)}
+    boy_lists = {
+        boys[j]: tuple(girls[i] for i, row in enumerate(rows) if j in row) for j in range(n)
+    }
+    return SmpInstance.build(girls, boys, girl_lists, boy_lists)
 
 
 class TestBabyToCmp:
+    """A symmetric-introductions instance is its girls' one-sided instance."""
+
     def test_symmetric_singleton(self):
         inst = SmpInstance.build(["g1"], ["b1"], {"g1": ["b1"]}, {"b1": ["g1"]})
-        assert baby_to_cmp(inst) == CmpInstance(("g1",), ("b1",), {"g1": ("b1",)})
+        assert solve(inst) == Assignment((("g1", "b1"),))
+        assert hall_condition_cmp(CmpInstance(inst.girls, inst.boys, inst.girl_lists)) is None
 
-    def test_wildcard_present(self, i1):
-        result = baby_to_cmp(i1)
-        assert isinstance(result, NotBaby)
-        assert result.witness == ("g2",)
-
-    def test_empty_boy_list(self):
-        inst = SmpInstance.build(["g1"], ["b1"], {"g1": ["b1"]}, {})
-        result = baby_to_cmp(inst)
-        assert isinstance(result, NotBaby)
-        assert "b1" in result.reason
-
-    def test_size_mismatch(self):
-        inst = SmpInstance.build(
-            ["g1", "g2"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {"b1": ["g1", "g2"]}
-        )
-        result = baby_to_cmp(inst)
-        assert isinstance(result, NotBaby)
-        assert "size" in result.reason
-
-    def test_asymmetric_introduction(self):
-        inst = SmpInstance.build(
-            ["g1", "g2"],
-            ["b1", "b2"],
-            {"g1": ["b1", "b2"], "g2": ["b2"]},
-            {"b1": ["g1"], "b2": ["g2"]},
-        )
-        result = baby_to_cmp(inst)
-        assert isinstance(result, NotBaby)
-        assert result.witness == ("g1", "b2")
+    @given(symmetric_introductions())
+    @settings(deadline=None, max_examples=300)
+    def test_solves_iff_girls_satisfy_hall(self, inst):
+        cmp = CmpInstance(inst.girls, inst.boys, dict(inst.girl_lists))
+        solved = isinstance(solve(inst), Assignment)
+        assert solved == (hall_condition_cmp(cmp) is None)
 
 
 class TestCmpToSmp:
@@ -256,14 +250,11 @@ class TestCmpToSmp:
 
     def test_listed_sets_roundtrip(self):
         cmp = CmpInstance(("x", "y"), ("p", "q"), {"x": ("p",), "y": ("p", "q")})
-        ls = listed_sets(cmp_to_smp(cmp))
-        assert ls.g_listed == cmp.left and ls.b_listed == ()
+        assert listed_names(cmp_to_smp(cmp)) == (cmp.left, ())
 
     def test_subproblems_recover_cmp(self):
         cmp = CmpInstance(("x", "y"), ("p", "q"), {"x": ("p",), "y": ("p", "q")})
-        girls_sub, boys_sub = cmp_subproblems(cmp_to_smp(cmp))
-        assert girls_sub == cmp
-        assert boys_sub.left == () and boys_sub.right == cmp.left
+        assert pare_lists(cmp_to_smp(cmp)) == (cmp.lists, {})
 
 
 class TestAssignmentViolations:

@@ -1,5 +1,6 @@
 """Star graph construction, mismatch repair, and the solver itself."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from symmarriage import (
     Assignment,
     BipartiteGraph,
+    HallViolator,
     Matching,
     SmpInstance,
     Unsolvable,
@@ -26,8 +28,13 @@ from symmarriage import (
     solve_via_subproblems,
     unsolvable_violator,
 )
+from symmarriage import star as star_module
+from symmarriage.cli import main
+from symmarriage.fileio import serialize_instance
+from symmarriage.instances import pared_index_lists
 
 from .conftest import random_instance, smp_instances
+from .test_acceptance import exhaustive_3x3
 
 
 def star_edges(star):
@@ -154,6 +161,75 @@ class TestSolve:
             via_cmp = hall_condition_cmp(cmp) is None
             via_smp = isinstance(solve(cmp_to_smp(cmp)), Assignment)
             assert via_cmp == via_smp
+
+
+def reference_violator(inst):
+    """Certificate computed apart from the star graph: match each pared
+    one-sided graph on its own, girls first, then follow alternating paths
+    from the smallest listed member left exposed."""
+    pared_g, pared_b = pared_index_lists(inst)
+    sides = (
+        ("girls", inst.listed_girl_idx, inst.girls, pared_g, len(inst.boys)),
+        ("boys", inst.listed_boy_idx, inst.boys, pared_b, len(inst.girls)),
+    )
+    for side, listed, names, pared, n_right in sides:
+        rows = [pared[m] for m in listed]
+        matched = max_matching(BipartiteGraph(len(rows), n_right, tuple(rows))).left_map
+        exposed = [k for k in range(len(rows)) if k not in matched]
+        if not exposed:
+            continue
+        owner = {v: k for k, v in matched.items()}
+        members, union = {exposed[0]}, set()
+        stack = [exposed[0]]
+        while stack:
+            for v in rows[stack.pop()]:
+                union.add(v)
+                if owner[v] not in members:
+                    members.add(owner[v])
+                    stack.append(owner[v])
+        return HallViolator(side, tuple(names[listed[k]] for k in sorted(members)), len(union))
+    return None
+
+
+class TestCertificate:
+    def test_matches_reference_on_3x3_patterns(self):
+        mismatched, unsolvable = [], 0
+        for inst in exhaustive_3x3():
+            outcome = solve(inst)
+            expected = reference_violator(inst)
+            got = None if isinstance(outcome, Assignment) else outcome.violator
+            unsolvable += got is not None
+            if got != expected:
+                mismatched.append(inst)
+        assert mismatched == []
+        assert unsolvable > 10_000
+
+    @given(smp_instances(max_girls=7, max_boys=7))
+    @settings(deadline=None, max_examples=400)
+    def test_matches_reference(self, inst):
+        outcome = solve(inst)
+        got = None if isinstance(outcome, Assignment) else outcome.violator
+        assert got == reference_violator(inst)
+        assert unsolvable_violator(inst) == got
+
+    @pytest.mark.parametrize(
+        "inst, side, calls",
+        [
+            (SmpInstance.build(["g1", "g2"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {}), "girls", 1),
+            (SmpInstance.build(["g1"], ["b1", "b2"], {}, {"b1": ["g1"], "b2": ["g1"]}), "boys", 2),
+        ],
+    )
+    def test_matcher_runs(self, monkeypatch, inst, side, calls):
+        graphs = []
+
+        def counting(graph):
+            graphs.append(graph)
+            return max_matching(graph)
+
+        monkeypatch.setattr(star_module, "max_matching", counting)
+        outcome = solve(inst)
+        assert isinstance(outcome, Unsolvable) and outcome.side == side
+        assert len(graphs) == calls
 
 
 class TestFindMismatches:
@@ -414,3 +490,39 @@ class TestTriangleFixture:
             if all(pairing[pairing[u]] == u for u in pairing):
                 mismatch_free_full.append(triple)
         assert mismatch_free_full == []
+
+
+GOLDEN_SEED = 20261017
+GOLDEN_CORPUS_SIZE = 300
+# sha256 of the concatenated `solve --method M` result documents over the
+# golden corpus; any change to a route's output bytes changes its digest.
+GOLDEN_DIGESTS = {
+    "star": "68d8ba33328dc1960e1ca7dcd268a0c4f3f51e758ed3c05f03a38095847fa271",
+    "subproblems": "c25986ff7f217d3e62d8094d5267f543fd56333ef2fcd16219a4ba5f69cb14e4",
+    "weight": "a64b723a9f4401e4e867c2e178d91297f603bdaaa50d47815c99fc7fb664f3cf",
+}
+
+
+class TestGoldenOutput:
+    def test_result_bytes_pinned(self, tmp_path):
+        rng = np.random.default_rng(GOLDEN_SEED)
+        paths = []
+        for k in range(GOLDEN_CORPUS_SIZE):
+            path = tmp_path / f"i{k}.json"
+            path.write_text(serialize_instance(random_instance(rng)))
+            paths.append(str(path))
+        out = tmp_path / "result.json"
+        docs = {}
+        for method in GOLDEN_DIGESTS:
+            docs[method] = []
+            for path in paths:
+                main(["solve", path, "--method", method, "--output", str(out)])
+                docs[method].append(out.read_bytes())
+        # The corpus must keep exercising every outcome the digests pin.
+        star_docs = docs["star"]
+        assert sum(b'"solved"' in d for d in star_docs) >= 100
+        assert sum(b'"side": "girls"' in d for d in star_docs) >= 30
+        assert sum(b'"side": "boys"' in d for d in star_docs) >= 30
+        assert sum(a != b for a, b in zip(star_docs, docs["subproblems"])) >= 5
+        digests = {m: hashlib.sha256(b"".join(d)).hexdigest() for m, d in docs.items()}
+        assert digests == GOLDEN_DIGESTS

@@ -1,11 +1,20 @@
 """Weight matrix construction and the assignment-based decision route."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symmarriage
 from symmarriage import (
     Assignment,
+    SizeLimitError,
     SmpInstance,
     WeightedBipartiteGraph,
     assignment_violations,
@@ -15,6 +24,8 @@ from symmarriage import (
     solve,
     weighted_assignment,
 )
+from symmarriage.fileio import serialize_instance
+from symmarriage.weighted import WEIGHT_GUARD
 
 from .conftest import brute_max_weight, random_instance, smp_instances
 
@@ -45,6 +56,15 @@ class TestBuildWeighted:
     def test_entries_in_range(self, inst):
         graph = build_weighted(inst)
         assert all(w in (0, 1, 2) for row in graph.weights for w in row)
+
+
+    def test_size_guard_boundary(self):
+        girls = [f"g{i}" for i in range(WEIGHT_GUARD)]
+        at_limit = SmpInstance.build(girls, ["b1"], {}, {})
+        assert build_weighted(at_limit).size == WEIGHT_GUARD
+        over = SmpInstance.build(girls + ["gx"], ["b1"], {}, {})
+        with pytest.raises(SizeLimitError, match=f"limit {WEIGHT_GUARD}"):
+            build_weighted(over)
 
 
 class TestHungarian:
@@ -132,3 +152,48 @@ class TestWeightedAssignment:
                 solved += 1
                 assert assignment_violations(inst, result) == []
         assert solved > 50
+
+
+OPTIMIZED_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from symmarriage import InvariantError, SmpInstance, weighted
+    from symmarriage.cli import main
+
+    assert False, "unreachable when assert statements are stripped"
+    # The listed-member bound of the instance below is 1.
+    weighted.hungarian_max_weight = lambda graph: (3, ())
+    inst = SmpInstance.build(["g1"], ["b1"], {"g1": ["b1"]}, {})
+    routes = (
+        lambda: weighted.solvable_via_weight(inst),
+        lambda: weighted.weighted_assignment(inst),
+        lambda: main(["solve", sys.argv[1], "--method", "weight"]),
+    )
+    for route in routes:
+        try:
+            route()
+            print("accepted")
+        except InvariantError:
+            print("InvariantError")
+    """
+)
+
+
+class TestInvariantChecks:
+    def test_bound_check_survives_optimize(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(SmpInstance.build(["g1"], ["b1"], {"g1": ["b1"]}, {})))
+        src = str(Path(symmarriage.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["InvariantError"] * 3
+
+    def test_invariant_error_is_an_assertion_error(self):
+        assert issubclass(symmarriage.InvariantError, AssertionError)
