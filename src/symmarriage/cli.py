@@ -5,7 +5,8 @@ Exit codes are part of the contract so that shell harnesses stay portable:
 * solve: 0 solved, 1 unsolvable, 2 infeasible, 3 size guard (--method weight)
 * check: 0 condition holds, 1 violator found, 2 infeasible, 3 size guard
 * verify: 0 claim valid, 1 claim invalid
-* any command: 64 usage error, 65 unreadable/malformed/invalid input
+* any command: 64 usage error, 65 unreadable/malformed/invalid input,
+  70 internal error (a broken invariant of the program, never of the input)
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_INFEASIBLE = 2
 EXIT_SIZE_LIMIT = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -117,7 +119,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -232,27 +232,32 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
     return SmpInstance(girls, boys, girl_lists, boy_lists)
 
 
-def pared_index_lists(
-    instance: SmpInstance,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Index-level paring: one row per roster member, empty rows for wildcards.
+def pared_rows(instance: SmpInstance, side: str) -> tuple[tuple[int, ...], ...]:
+    """Index-level paring of one side (``"girls"`` or ``"boys"``): one row
+    per roster member, empty rows for wildcards.
 
     A listed partner stays on a list only when the two are on each other's
     lists; unlisted partners always stay.
     """
-    girl_rows = instance.girl_lists_idx
-    boy_rows = instance.boy_lists_idx
-    girl_sets = instance.girl_list_sets
-    boy_sets = instance.boy_list_sets
-    pared_g = tuple(
-        tuple(b for b in row if not boy_rows[b] or g in boy_sets[b]) if row else ()
-        for g, row in enumerate(girl_rows)
+    if side == "girls":
+        rows, other_rows, other_sets = (
+            instance.girl_lists_idx, instance.boy_lists_idx, instance.boy_list_sets
+        )
+    else:
+        rows, other_rows, other_sets = (
+            instance.boy_lists_idx, instance.girl_lists_idx, instance.girl_list_sets
+        )
+    return tuple(
+        tuple(p for p in row if not other_rows[p] or m in other_sets[p]) if row else ()
+        for m, row in enumerate(rows)
     )
-    pared_b = tuple(
-        tuple(g for g in row if not girl_rows[g] or b in girl_sets[g]) if row else ()
-        for b, row in enumerate(boy_rows)
-    )
-    return pared_g, pared_b
+
+
+def pared_index_lists(
+    instance: SmpInstance,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Both sides' :func:`pared_rows`, girls first."""
+    return pared_rows(instance, "girls"), pared_rows(instance, "boys")
 
 
 def pare_lists(

@@ -18,6 +18,7 @@ without losing cardinality, after which the pairing can be read off.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,7 @@ from .bipartite import (
     max_matching,
 )
 from .hall import HallViolator
-from .instances import Assignment, InvariantError, SmpInstance, pared_index_lists
+from .instances import Assignment, InvariantError, SmpInstance, pared_rows
 
 
 @dataclass(frozen=True)
@@ -119,23 +120,22 @@ def build_star_graph(instance: SmpInstance) -> StarGraph:
     return StarGraph(instance, graph, listed_g, listed_b, lg_node, lb_node)
 
 
-def _mismatched_edges(star: StarGraph, pair_left: dict[int, int]) -> list[tuple[int, int]]:
-    """Matched list-node edges whose mutual partner edge is absent, ascending."""
+def _is_mismatched(star: StarGraph, pair_left: dict[int, int], u: int) -> bool:
+    """Whether left vertex ``u`` holds a list-node edge lacking its mutual
+    partner edge.  Depends only on ``pair_left`` at ``u`` and at its twin."""
+    v = pair_left.get(u)
+    if v is None:
+        return False
     n_g = len(star.instance.girls)
     n_b = len(star.instance.boys)
-    out = []
-    for u in sorted(pair_left):
-        v = pair_left[u]
-        if u < n_g:
-            if v >= n_b:
-                g, b = u, star.listed_boys[v - n_b]
-                if pair_left.get(star.lg_node[g]) != b:
-                    out.append((u, v))
-        elif v < n_b:
-            g, b = star.listed_girls[u - n_g], v
-            if pair_left.get(g) != star.lb_node[b]:
-                out.append((u, v))
-    return out
+    if u < n_g:
+        return v >= n_b and pair_left.get(star.lg_node[u]) != star.listed_boys[v - n_b]
+    return v < n_b and pair_left.get(star.listed_girls[u - n_g]) != star.lb_node[v]
+
+
+def _mismatched_edges(star: StarGraph, pair_left: dict[int, int]) -> list[tuple[int, int]]:
+    """Matched list-node edges whose mutual partner edge is absent, ascending."""
+    return [(u, pair_left[u]) for u in sorted(pair_left) if _is_mismatched(star, pair_left, u)]
 
 
 def find_mismatches(star: StarGraph, matching: Matching) -> MismatchReport:
@@ -181,7 +181,7 @@ def _apply_chain(
     start_x: int,
     start_y: int,
     girl_start: bool,
-) -> None:
+) -> set[int]:
     """Chase one alternating chain of list-node partners and swap it mutual.
 
     ``start_x`` is the core member currently matched to ``start_y``'s list
@@ -190,7 +190,8 @@ def _apply_chain(
     side, a cycle back to ``start_y``, or a free list node on the far side.
     Each ending admits a swap that pairs every chain member mutually with
     its chain partner, strictly reducing the mismatch count while keeping
-    the matching size and the covered cores unchanged.
+    the matching size and the covered cores unchanged.  Returns the left
+    vertices whose matched edge the swap changed.
     """
     if girl_start:
         # X side = girls (left cores), Y side = boys (right cores).
@@ -269,6 +270,7 @@ def _apply_chain(
             raise InvariantError(f"chain swap cannot add edge ({u}, {v})")
         pair_left[u] = v
         pair_right[v] = u
+    return {u for u, _ in removed} | {u for u, _ in added}
 
 
 def repair_mismatches(
@@ -277,31 +279,60 @@ def repair_mismatches(
     """Rewire matched list-node edges until every one has its mutual partner.
 
     Requires a maximum matching of size ``star.target_size`` (which then
-    necessarily covers every listed core).  Each pass picks the smallest
-    mismatched edge and repairs its chain; passes strictly decrease the
-    mismatch count, so at most the initial count of passes run.  When
-    ``stats`` is given, ``initial_mismatches`` and ``iterations`` are
-    recorded in it.
+    necessarily covers every listed core).  Each pass repairs the chain of
+    the smallest mismatched edge, ordered by left vertex, and strictly
+    decreases the mismatch count, so at most the initial count of passes
+    run.  A min-heap worklist holds the left vertices whose matched edge is
+    mismatched; it is seeded by one scan and re-checked lazily when popped.
+    An edge's status depends only on ``pair_left`` at its left vertex and
+    that vertex's twin (``g`` and ``L_g``), so after a swap only the
+    vertices it rewired and their twins are re-checked.  Repair thus takes
+    O((|M| + total chain length) log |M|) time.  When ``stats`` is given,
+    ``initial_mismatches`` and ``iterations`` are recorded in it.
     """
     _check_repairable(star, matching)
     pair_left = dict(matching.pairs)
     pair_right = {v: u for u, v in matching.pairs}
     n_g = len(star.instance.girls)
     n_b = len(star.instance.boys)
-    mismatched = _mismatched_edges(star, pair_left)
-    initial = len(mismatched)
+    worklist = [u for u, _ in _mismatched_edges(star, pair_left)]
+    # One status byte per left vertex: a set would keep its peak-sized
+    # table after draining.
+    mismatched = bytearray(star.graph.left_count)
+    for u in worklist:
+        mismatched[u] = True
+    initial = count = len(worklist)
     iterations = 0
-    while mismatched:
+    while worklist:
+        u = heapq.heappop(worklist)
+        if not mismatched[u]:
+            continue
         iterations += 1
-        u, v = mismatched[0]
+        before = count
+        mismatched[u] = False
+        count -= 1
+        v = pair_left[u]
         if u < n_g:
-            _apply_chain(star, pair_left, pair_right, u, star.listed_boys[v - n_b], True)
+            start = (u, star.listed_boys[v - n_b], True)
         else:
-            _apply_chain(star, pair_left, pair_right, v, star.listed_girls[u - n_g], False)
-        remaining = _mismatched_edges(star, pair_left)
-        if len(remaining) >= len(mismatched):
+            start = (v, star.listed_girls[u - n_g], False)
+        changed = _apply_chain(star, pair_left, pair_right, *start)
+        # ``u`` is re-checked even if the swap reports no change, so a chain
+        # that leaves its start mismatched fails the count check below.
+        recheck = {u}
+        for w in changed:
+            recheck.add(w)
+            twin = star.lg_node.get(w) if w < n_g else star.listed_girls[w - n_g]
+            if twin is not None:
+                recheck.add(twin)
+        for w in recheck:
+            now = _is_mismatched(star, pair_left, w)
+            if now and not mismatched[w]:
+                heapq.heappush(worklist, w)
+            count += now - mismatched[w]
+            mismatched[w] = now
+        if count >= before:
             raise InvariantError("chain swap did not reduce the mismatch count")
-        mismatched = remaining
     if len(pair_left) != len(matching.pairs):
         raise InvariantError("repair changed the matching size")
     if stats is not None:
@@ -345,19 +376,16 @@ def _violator(
     return HallViolator(side, tuple(names[u] for u in cert.subset), len(cert.neighborhood))
 
 
-def _match_side(
-    instance: SmpInstance, pared: tuple, side: str
-) -> tuple[Matching, HallViolator | None]:
+def _match_side(instance: SmpInstance, side: str) -> tuple[Matching, HallViolator | None]:
     """Match one side's pared one-sided graph, listed members on the left.
 
-    ``pared`` is ``pared_index_lists(instance)``.  Returns the maximum
-    matching and, when it leaves a listed member exposed, the violator read
-    off it.
+    Only ``side``'s lists are pared.  Returns the maximum matching and, when
+    it leaves a listed member exposed, the violator read off it.
     """
     girls = side == "girls"
     listed = instance.listed_girl_idx if girls else instance.listed_boy_idx
     names = instance.girls if girls else instance.boys
-    rows = pared[0] if girls else pared[1]
+    rows = pared_rows(instance, side)
     n_right = len(instance.boys) if girls else len(instance.girls)
     graph = BipartiteGraph(len(listed), n_right, tuple(rows[m] for m in listed))
     matching = max_matching(graph)
@@ -372,8 +400,7 @@ def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
     The girls' subproblem is examined first; certificates are stated over
     pared lists.
     """
-    pared = pared_index_lists(instance)
-    return _match_side(instance, pared, "girls")[1] or _match_side(instance, pared, "boys")[1]
+    return _match_side(instance, "girls")[1] or _match_side(instance, "boys")[1]
 
 
 def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:
@@ -396,7 +423,7 @@ def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment
     cert = deficiency_certificate(star.graph, matching, star.listed_girls)
     violator = _violator("girls", instance.girls, cert)
     if violator is None:
-        violator = _match_side(instance, pared_index_lists(instance), "boys")[1]
+        violator = _match_side(instance, "boys")[1]
     if violator is None:
         raise InvariantError("deficient star matching but both subproblems matchable")
     return Unsolvable(violator)
@@ -411,10 +438,9 @@ def solve_via_subproblems(instance: SmpInstance) -> Assignment | Unsolvable:
     exercise the decomposition equivalence; ``solve`` is the production
     route and the two agree on solvability.
     """
-    pared = pared_index_lists(instance)
-    g_matching, violator = _match_side(instance, pared, "girls")
+    g_matching, violator = _match_side(instance, "girls")
     if violator is None:
-        b_matching, violator = _match_side(instance, pared, "boys")
+        b_matching, violator = _match_side(instance, "boys")
     if violator is not None:
         return Unsolvable(violator)
     listed_g = instance.listed_girl_idx

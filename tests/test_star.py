@@ -1,12 +1,19 @@
 """Star graph construction, mismatch repair, and the solver itself."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import symmarriage
 from symmarriage import (
     Assignment,
     BipartiteGraph,
@@ -255,6 +262,67 @@ class TestFindMismatches:
         assert find_mismatches(star, m).count == 0
 
 
+def rescanning_repair(star, matching, stats):
+    """Reference repair: after every chain, rescan the whole matching for the
+    smallest mismatched edge.  The production worklist must reproduce its
+    matching and counts exactly."""
+    n_g, n_b = len(star.instance.girls), len(star.instance.boys)
+    pair_left = dict(matching.pairs)
+    pair_right = {v: u for u, v in matching.pairs}
+
+    def mismatched_edges():
+        out = []
+        for u in sorted(pair_left):
+            v = pair_left[u]
+            if u < n_g:
+                if v >= n_b:
+                    g, b = u, star.listed_boys[v - n_b]
+                    if pair_left.get(star.lg_node[g]) != b:
+                        out.append((u, v))
+            elif v < n_b:
+                g, b = star.listed_girls[u - n_g], v
+                if pair_left.get(g) != star.lb_node[b]:
+                    out.append((u, v))
+        return out
+
+    mismatched = mismatched_edges()
+    stats["initial_mismatches"] = len(mismatched)
+    stats["iterations"] = 0
+    while mismatched:
+        stats["iterations"] += 1
+        u, v = mismatched[0]
+        if u < n_g:
+            star_module._apply_chain(
+                star, pair_left, pair_right, u, star.listed_boys[v - n_b], True
+            )
+        else:
+            star_module._apply_chain(
+                star, pair_left, pair_right, v, star.listed_girls[u - n_g], False
+            )
+        remaining = mismatched_edges()
+        assert len(remaining) < len(mismatched)
+        mismatched = remaining
+    return Matching(tuple(sorted(pair_left.items())))
+
+
+def crossed_blocks(n):
+    """n/2 disjoint, fully mutual 2x2 blocks fed a crossed full matching:
+    girl k holds L_{b_k} while L_{g_k} holds the block's other boy, so each
+    block has four mismatched edges and is repaired by one cycle chain."""
+    girls = [f"g{i}" for i in range(n)]
+    boys = [f"b{j}" for j in range(n)]
+    girl_lists, boy_lists = {}, {}
+    for k in range(0, n, 2):
+        girl_lists[girls[k]] = girl_lists[girls[k + 1]] = (boys[k], boys[k + 1])
+        boy_lists[boys[k]] = boy_lists[boys[k + 1]] = (girls[k], girls[k + 1])
+    star = build_star_graph(SmpInstance.build(girls, boys, girl_lists, boy_lists))
+    lg, lb = star.lg_node, star.lb_node
+    pairs = []
+    for k in range(0, n, 2):
+        pairs += [(k, lb[k]), (k + 1, lb[k + 1]), (lg[k + 1], k), (lg[k], k + 1)]
+    return star, Matching(tuple(sorted(pairs)))
+
+
 class TestRepairMismatches:
     def test_identity_when_clean(self, i1):
         star = build_star_graph(i1)
@@ -338,6 +406,69 @@ class TestRepairMismatches:
         star = build_star_graph(i1)
         with pytest.raises(ValueError, match="not an edge"):
             repair_mismatches(star, star_matching(star, [("g1", "b1"), ("g2", "b2")]))
+
+    def test_crossed_blocks_scale_linearly(self):
+        # The rescanning loop took 19-26 s here, quadratic in n.
+        star, crossed = crossed_blocks(8000)
+        stats = {}
+        start = time.perf_counter()
+        repaired = repair_mismatches(star, crossed, stats)
+        elapsed = time.perf_counter() - start
+        assert stats == {"initial_mismatches": 16000, "iterations": 4000}
+        lg, lb = star.lg_node, star.lb_node
+        assert repaired.left_map == {
+            u: v for g in range(8000) for u, v in ((g, lb[g]), (lg[g], g))
+        }
+        assert elapsed < 2.0
+
+
+# The canonical star matching of this instance holds one mismatched edge.
+MISMATCHED_INSTANCE = SmpInstance.build(
+    ["g1", "g2", "g3"], ["b1", "b2", "b3"], {"g3": ["b1"]}, {"b1": ["g1", "g3"]}
+)
+
+OPTIMIZED_REPAIR_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from symmarriage import InvariantError, build_star_graph, max_matching, star
+    from symmarriage.cli import main
+    from symmarriage.fileio import parse_instance
+    from symmarriage.instances import preprocess_refusals
+
+    assert False, "unreachable when assert statements are stripped"
+    # A chain swap that rewires nothing and reports no vertex changed.
+    star._apply_chain = lambda *args: set()
+    with open(sys.argv[1], encoding="utf-8") as handle:
+        inst = preprocess_refusals(parse_instance(handle.read()))
+    graph = build_star_graph(inst)
+    try:
+        star.repair_mismatches(graph, max_matching(graph.graph))
+        print("accepted")
+    except InvariantError:
+        print("InvariantError")
+    print(main(["solve", sys.argv[1]]))
+    """
+)
+
+
+class TestRepairInvariants:
+    def test_stalled_chain_raises_under_optimize(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(MISMATCHED_INSTANCE))
+        star = build_star_graph(MISMATCHED_INSTANCE)
+        assert find_mismatches(star, max_matching(star.graph)).count == 1
+        src = str(Path(symmarriage.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", OPTIMIZED_REPAIR_SCRIPT, str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert result.stdout.split() == ["InvariantError", "70"], result.stderr
+        assert result.stderr == (
+            "internal error: chain swap did not reduce the mismatch count\n"
+        )
 
 
 class TestExtractAssignment:
@@ -451,6 +582,9 @@ class TestSolverAgainstOracle:
                 continue
             stats = {}
             repaired = repair_mismatches(star, m, stats)
+            reference_stats = {}
+            assert repaired == rescanning_repair(star, m, reference_stats)
+            assert stats == reference_stats
             assert stats["iterations"] <= stats["initial_mismatches"]
             assert len(repaired.pairs) == star.target_size
             assert find_mismatches(star, repaired).count == 0
