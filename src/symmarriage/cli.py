@@ -7,11 +7,15 @@ Exit codes are part of the contract so that shell harnesses stay portable:
 * verify: 0 claim valid, 1 claim invalid
 * any command: 64 usage error, 65 unreadable/malformed/invalid input,
   70 internal error (a broken invariant of the program, never of the input)
+* solve, gen: 73 the --output file cannot be written (no partial file is left)
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
 
 from .fileio import (
@@ -31,7 +35,6 @@ from .instances import (
     SmpInstance,
     assignment_violations,
     cmp_to_smp,
-    pare_lists,
     preprocess_refusals,
     validate_raw,
 )
@@ -45,9 +48,14 @@ EXIT_SIZE_LIMIT = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -124,6 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
 
 
 def entry() -> None:
@@ -132,15 +143,30 @@ def entry() -> None:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"'{path}' is not UTF-8 text: {exc}") from exc
 
 
 def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path`` or stdout; raise ``_OutputError`` when the
+    file cannot be written, removing a regular file left partly written."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(f"cannot write '{path}': {exc}") from exc
+    try:
+        with handle:
             handle.write(text)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        raise _OutputError(f"cannot write '{path}': {exc}") from exc
 
 
 def _load_instance(path: str) -> SmpInstance | Infeasible:
@@ -283,19 +309,30 @@ def _verify_claim(prepared: SmpInstance | Infeasible, result: ResultDoc) -> list
     if result.status == "solved":
         return assignment_violations(prepared, Assignment(result.assignment))
     violator = result.violator
-    by_girl, by_boy = pare_lists(prepared)
-    table = by_girl if violator.side == "girls" else by_boy
+    if violator.side == "girls":
+        lists, other_lists = prepared.girl_lists, prepared.boy_lists
+    else:
+        lists, other_lists = prepared.boy_lists, prepared.girl_lists
     problems = []
     members = violator.members
     if len(set(members)) != len(members):
         problems.append("violator members repeat")
-    missing = [m for m in members if m not in table]
+    missing = [m for m in members if not lists.get(m)]
     if missing:
         problems.append(f"violator members not listed on the {violator.side} side: {missing}")
         return problems
+    # Pare only the members' lists: partner p stays on m's list when p is a
+    # wildcard or lists m back.  Each partner's list becomes a set once, so
+    # the work is linear in the list entries the claim touches.
+    back_sets: dict[str, frozenset[str]] = {}
     union: set[str] = set()
     for m in members:
-        union.update(table[m])
+        for p in lists[m]:
+            back = back_sets.get(p)
+            if back is None:
+                back = back_sets[p] = frozenset(other_lists[p])
+            if not back or m in back:
+                union.add(p)
     if len(union) != violator.union_size:
         problems.append(
             f"recomputed union size {len(union)} differs from claimed {violator.union_size}"

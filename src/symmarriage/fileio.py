@@ -50,6 +50,8 @@ def _load_object(text: str) -> dict:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     return doc

@@ -160,20 +160,36 @@ class Infeasible:
 def validate(instance: SmpInstance) -> list[str]:
     """Return every invariant violation; the empty list means well formed."""
     problems: list[str] = []
-    for side, roster in (("girl", instance.girls), ("boy", instance.boys)):
+    girl_set = set(instance.girls)
+    boy_set = set(instance.boys)
+    for side, roster, roster_set in (
+        ("girl", instance.girls, girl_set),
+        ("boy", instance.boys, boy_set),
+    ):
+        if len(roster_set) == len(roster):
+            continue
         seen: set[str] = set()
         for name in roster:
             if name in seen:
                 problems.append(f"duplicate {side} '{name}'")
             seen.add(name)
-    girl_set = set(instance.girls)
-    boy_set = set(instance.boys)
     _validate_lists(problems, "girl", instance.girls, girl_set, instance.girl_lists, "boy", boy_set)
     _validate_lists(problems, "boy", instance.boys, boy_set, instance.boy_lists, "girl", girl_set)
     return problems
 
 
 def _validate_lists(problems, side, roster, roster_set, lists, other_side, other_set):
+    # Whole-table and whole-row checks run at C level; only when one fails
+    # does the per-entry loop below run, so problems and their order are
+    # those of the loop alone.
+    rows = lists.values()
+    if (
+        len(lists) == len(roster_set)
+        and roster_set.issuperset(lists)
+        and all(map(other_set.issuperset, rows))
+        and list(map(len, map(set, rows))) == list(map(len, rows))
+    ):
+        return
     for name in roster:
         if name not in lists:
             problems.append(f"missing list entry for {side} '{name}'")
@@ -193,6 +209,8 @@ def _validate_lists(problems, side, roster, roster_set, lists, other_side, other
 def validate_raw(raw: RawInstance) -> list[str]:
     """Validate the underlying instance plus the refusers field."""
     problems = validate(SmpInstance(raw.girls, raw.boys, raw.girl_lists, raw.boy_lists))
+    if not raw.refusers:
+        return problems
     members = set(raw.girls) | set(raw.boys)
     seen: set[str] = set()
     for r in raw.refusers:
@@ -212,6 +230,14 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
     first such member (girls before boys, roster order).  Lists emptied this
     way are never silently turned into wildcards.
     """
+    if (
+        not raw.refusers
+        and tuple(raw.girl_lists) == raw.girls
+        and tuple(raw.boy_lists) == raw.boys
+    ):
+        # Nothing to delete and every list already keyed in roster order:
+        # the loop below would rebuild the same tables.
+        return SmpInstance(raw.girls, raw.boys, raw.girl_lists, raw.boy_lists)
     refuse = set(raw.refusers)
     girls = tuple(g for g in raw.girls if g not in refuse)
     boys = tuple(b for b in raw.boys if b not in refuse)

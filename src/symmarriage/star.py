@@ -54,8 +54,15 @@ class StarGraph:
         return len(self.listed_girls) + len(self.listed_boys)
 
     @cached_property
-    def left_adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.graph.adjacency)
+    def _row_sets(self) -> dict[int, frozenset[int]]:
+        return {}
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``(u, v)`` is an edge; a row's set is built on first use."""
+        row = self._row_sets.get(u)
+        if row is None:
+            row = self._row_sets[u] = frozenset(self.graph.adjacency[u])
+        return v in row
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,9 @@ def _check_repairable(star: StarGraph, matching: Matching) -> None:
         raise ValueError(
             f"matching has size {len(matching.pairs)}, repair requires {star.target_size}"
         )
-    adj = star.left_adjacency_sets
+    # A matching touches each left vertex once, so scanning the rows is
+    # linear in the edges.
+    adj = star.graph.adjacency
     for u, v in matching.pairs:
         if v not in adj[u]:
             raise ValueError(f"({u}, {v}) is not an edge of the star graph")
@@ -264,9 +273,8 @@ def _apply_chain(
             raise InvariantError(f"chain swap removes unmatched edge ({u}, {v})")
         del pair_left[u]
         del pair_right[v]
-    adj = star.left_adjacency_sets
     for u, v in added:
-        if v not in adj[u] or u in pair_left or v in pair_right:
+        if not star.has_edge(u, v) or u in pair_left or v in pair_right:
             raise InvariantError(f"chain swap cannot add edge ({u}, {v})")
         pair_left[u] = v
         pair_right[v] = u

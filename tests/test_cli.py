@@ -1,11 +1,16 @@
 """Command-line interface: formats, exit codes, round trips, agreement."""
 
+import errno
 import json
+import os
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symmarriage import SmpInstance, validate_raw
+from symmarriage import HallViolator, SmpInstance, Unsolvable, pare_lists, solve, validate_raw
+from symmarriage import cli
 from symmarriage.cli import main
 from symmarriage.weighted import WEIGHT_GUARD
 from symmarriage.fileio import (
@@ -17,7 +22,7 @@ from symmarriage.fileio import (
     serialize_result,
 )
 
-from .conftest import I1
+from .conftest import I1, smp_instances
 
 
 I1_DOC = {
@@ -396,3 +401,202 @@ class TestDeterminism:
             main(["solve", i1_file, "--method", method, "--output", str(a)])
             main(["solve", i1_file, "--method", method, "--output", str(b)])
             assert a.read_bytes() == b.read_bytes()
+
+
+def reference_violator_problems(prepared, violator):
+    """The whole-instance violator check, kept as the oracle for the
+    claim-sized one: pare every list, then look the members up."""
+    by_girl, by_boy = pare_lists(prepared)
+    table = by_girl if violator.side == "girls" else by_boy
+    problems = []
+    members = violator.members
+    if len(set(members)) != len(members):
+        problems.append("violator members repeat")
+    missing = [m for m in members if m not in table]
+    if missing:
+        problems.append(f"violator members not listed on the {violator.side} side: {missing}")
+        return problems
+    union = set()
+    for m in members:
+        union.update(table[m])
+    if len(union) != violator.union_size:
+        problems.append(
+            f"recomputed union size {len(union)} differs from claimed {violator.union_size}"
+        )
+    if len(union) >= len(members):
+        problems.append(
+            f"union of pared lists has {len(union)} members, not smaller than the "
+            f"subset of {len(members)}"
+        )
+    return problems
+
+
+@st.composite
+def claims(draw):
+    """An instance with a genuine violator when it has one, or a forged claim:
+    repeated members, unknown names, wildcards, names from the wrong side,
+    and union sizes off by one."""
+    inst = draw(smp_instances())
+    outcome = solve(inst)
+    if isinstance(outcome, Unsolvable) and draw(st.booleans()):
+        v = outcome.violator
+        shift = draw(st.sampled_from((0, 0, -1, 1)))
+        return inst, HallViolator(v.side, v.members, max(0, v.union_size + shift))
+    pool = inst.girls + inst.boys + ("gx", "bx")
+    members = tuple(draw(st.lists(st.sampled_from(pool), max_size=6)))
+    side = draw(st.sampled_from(("girls", "boys")))
+    return inst, HallViolator(side, members, draw(st.integers(0, 6)))
+
+
+INDEX_CACHES = (
+    "girl_index",
+    "boy_index",
+    "girl_lists_idx",
+    "boy_lists_idx",
+    "girl_list_sets",
+    "boy_list_sets",
+    "listed_girl_idx",
+    "listed_boy_idx",
+)
+
+
+class TestVerifyClaimOracle:
+    @given(claims())
+    @settings(deadline=None, max_examples=600)
+    def test_same_problems_as_paring_everything(self, claim):
+        inst, violator = claim
+        expected = reference_violator_problems(inst, violator)
+        fresh = SmpInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists)
+        assert cli._verify_claim(fresh, ResultDoc("unsolvable", violator=violator)) == expected
+
+    def test_genuine_claims_are_valid(self):
+        inst = SmpInstance.build(
+            ["g1", "g2", "g3"],
+            ["b1", "b2"],
+            {"g1": ["b1", "b2"], "g2": ["b1", "b2"], "g3": ["b2"]},
+            {"b1": ["g3"]},
+        )
+        violator = solve(inst).violator
+        assert violator == HallViolator("girls", ("g1", "g2"), 1)
+        assert cli._verify_claim(inst, ResultDoc("unsolvable", violator=violator)) == []
+
+    def test_builds_no_whole_instance_cache(self):
+        inst = SmpInstance.build(
+            ["g1", "g2", "g3"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {"b1": ["g1", "g2", "g3"]}
+        )
+        claim = ResultDoc("unsolvable", violator=HallViolator("girls", ("g1", "g2"), 1))
+        assert cli._verify_claim(inst, claim) == []
+        assert not set(INDEX_CACHES) & set(vars(inst))
+
+
+BAD_INPUTS = {
+    "missing": None,
+    "directory": None,
+    "non-utf8": b'{"version": 1, "girls": ["\xff"]}',
+    "truncated": b'{"version": 1, "girls": ["g1"',
+    "deep-arrays": b"[" * 100_000 + b"]" * 100_000,
+    "deep-objects": b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+    "wrong-types": json.dumps(
+        {"version": 1, "girls": "g1", "boys": [1], "girl_lists": [], "boy_lists": {}}
+    ).encode(),
+    "empty-list": json.dumps(
+        {"version": 1, "girls": ["g1"], "boys": ["b1"], "girl_lists": {"g1": []}, "boy_lists": {}}
+    ).encode(),
+}
+
+
+def bad_input(tmp_path, name):
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif BAD_INPUTS[name] is not None:
+        path.write_bytes(BAD_INPUTS[name])
+    return str(path)
+
+
+def solved_result(tmp_path, i1_file):
+    res = str(tmp_path / "good-result.json")
+    assert main(["solve", i1_file, "--output", res]) == 0
+    return res
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("slot", ["solve", "check", "verify-instance", "verify-result"])
+    def test_one_line_no_traceback(self, slot, name, i1_file, tmp_path, capsys):
+        bad = bad_input(tmp_path, name)
+        argv = {
+            "solve": ["solve", bad],
+            "check": ["check", bad],
+            "verify-instance": ["verify", bad, solved_result(tmp_path, i1_file)],
+            "verify-result": ["verify", i1_file, bad],
+        }[slot]
+        capsys.readouterr()
+        assert main(argv) in (64, 65)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["solve", "gen"])
+    def test_unwritable_output(self, command, target, i1_file, tmp_path, capsys):
+        if target == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        else:
+            out = tmp_path / "absent" / "r.json"
+        argv = {
+            "solve": ["solve", i1_file, "--output", str(out)],
+            "gen": ["gen", "tournament", "--n", "2", "--output", str(out)],
+        }[command]
+        assert main(argv) == 73
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith(f"error: cannot write '{out}': ") and err.count("\n") == 1
+        if target == "directory":
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.parent.exists()
+
+    def test_failed_write_leaves_no_partial_file(self, i1_file, tmp_path, monkeypatch, capsys):
+        class DiskFull:
+            """Writes half of the text, then fails as a full disk does."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_open(path, mode="r", **kwargs):
+            handle = open(path, mode, **kwargs)
+            return DiskFull(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        out = tmp_path / "r.json"
+        for _ in range(2):  # first a new file, then an existing one
+            assert main(["solve", i1_file, "--output", str(out)]) == 73
+            assert not out.exists()
+            assert capsys.readouterr().err.startswith(f"error: cannot write '{out}': ")
+            out.write_text("old result")
+
+    def test_non_utf8_named_in_message(self, tmp_path, capsys):
+        path = bad_input(tmp_path, "non-utf8")
+        assert main(["solve", path]) == 65
+        assert capsys.readouterr().err.startswith(f"error: '{path}' is not UTF-8 text: ")
+
+    def test_deep_nesting_named_in_message(self, i1_file, tmp_path, capsys):
+        path = bad_input(tmp_path, "deep-arrays")
+        assert main(["verify", i1_file, path]) == 65
+        assert capsys.readouterr().err == (
+            "error: invalid JSON: arrays or objects nested too deeply\n"
+        )

@@ -97,6 +97,164 @@ class TestPreprocessRefusals:
         assert not mentioned & set(refusers)
 
 
+
+def reference_validate_raw(raw):
+    """The per-entry validation loops, kept as the oracle for the fast path."""
+    problems = []
+    for side, roster in (("girl", raw.girls), ("boy", raw.boys)):
+        seen = set()
+        for name in roster:
+            if name in seen:
+                problems.append(f"duplicate {side} '{name}'")
+            seen.add(name)
+    girl_set, boy_set = set(raw.girls), set(raw.boys)
+    for side, roster, roster_set, lists, other_side, other_set in (
+        ("girl", raw.girls, girl_set, raw.girl_lists, "boy", boy_set),
+        ("boy", raw.boys, boy_set, raw.boy_lists, "girl", girl_set),
+    ):
+        for name in roster:
+            if name not in lists:
+                problems.append(f"missing list entry for {side} '{name}'")
+        for key in lists:
+            if key not in roster_set:
+                problems.append(f"unknown {side} '{key}' in {side}_lists")
+        for name in roster:
+            seen = set()
+            for partner in lists.get(name, ()):
+                if partner not in other_set:
+                    problems.append(f"unknown {other_side} '{partner}' in list of {side} '{name}'")
+                if partner in seen:
+                    problems.append(f"duplicate entry '{partner}' in list of {side} '{name}'")
+                seen.add(partner)
+    members = girl_set | boy_set
+    seen = set()
+    for r in raw.refusers:
+        if r not in members:
+            problems.append(f"unknown refuser '{r}'")
+        if r in seen:
+            problems.append(f"duplicate refuser '{r}'")
+        seen.add(r)
+    return problems
+
+
+def reference_preprocess_refusals(raw):
+    """The table-rebuilding refusal loop, kept as the oracle for the no-op path."""
+    refuse = set(raw.refusers)
+    girls = tuple(g for g in raw.girls if g not in refuse)
+    boys = tuple(b for b in raw.boys if b not in refuse)
+    tables = []
+    for roster, lists in ((girls, raw.girl_lists), (boys, raw.boy_lists)):
+        table = {}
+        for m in roster:
+            old = lists.get(m, ())
+            new = tuple(p for p in old if p not in refuse)
+            if old and not new:
+                return Infeasible(m)
+            table[m] = new
+        tables.append(table)
+    return SmpInstance(girls, boys, *tables)
+
+
+def snapshot(prepared):
+    """Everything observable about a preprocessing result, key order included."""
+    if isinstance(prepared, Infeasible):
+        return prepared
+    return (
+        prepared.girls,
+        prepared.boys,
+        list(prepared.girl_lists.items()),
+        list(prepared.boy_lists.items()),
+    )
+
+
+GIRL_POOL = ("g1", "g2", "g3", "gx")
+BOY_POOL = ("b1", "b2", "b3", "bx")
+
+
+@st.composite
+def malformed_raws(draw):
+    """Raw instances that may break every validation rule: duplicate roster
+    names, missing or unknown list keys, unknown or repeated partners, and
+    unknown or repeated refusers.  Tables are built directly, not through
+    ``build``, so a roster member can lack a key and keys can come in any order."""
+    girls = tuple(draw(st.lists(st.sampled_from(GIRL_POOL[:3]), max_size=4)))
+    boys = tuple(draw(st.lists(st.sampled_from(BOY_POOL[:3]), max_size=4)))
+
+    def table(keys, partners):
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+        return {
+            k: tuple(draw(st.lists(st.sampled_from(partners), max_size=4)))
+            for k in chosen
+        }
+
+    girl_lists = table(GIRL_POOL, BOY_POOL)
+    boy_lists = table(BOY_POOL, GIRL_POOL)
+    refusers = tuple(draw(st.lists(st.sampled_from(GIRL_POOL + BOY_POOL), max_size=3)))
+    return RawInstance(girls, boys, girl_lists, boy_lists, refusers)
+
+
+@st.composite
+def wellformed_raws(draw):
+    """Valid raw instances, with refusers half of the time."""
+    inst = draw(smp_instances())
+    refusers = ()
+    if draw(st.booleans()):
+        refusers = tuple(
+            draw(st.lists(st.sampled_from(inst.girls + inst.boys), unique=True))
+            if inst.girls + inst.boys
+            else ()
+        )
+    return RawInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists, refusers)
+
+
+class TestValidationOracle:
+    @given(st.one_of(malformed_raws(), wellformed_raws()))
+    @settings(deadline=None, max_examples=400)
+    def test_same_problems_in_same_order(self, raw):
+        assert validate_raw(raw) == reference_validate_raw(raw)
+
+    def test_every_rule_reported_in_loop_order(self):
+        raw = RawInstance(
+            ("g1", "g1", "g2"),
+            ("b1",),
+            {"g2": ("b1", "bx", "b1"), "gx": ("b1",), "g1": ("b1",)},
+            {"b1": ("g2", "gy")},
+            ("b1", "zz", "b1"),
+        )
+        assert validate_raw(raw) == reference_validate_raw(raw) == [
+            "duplicate girl 'g1'",
+            "unknown girl 'gx' in girl_lists",
+            "unknown boy 'bx' in list of girl 'g2'",
+            "duplicate entry 'b1' in list of girl 'g2'",
+            "unknown girl 'gy' in list of boy 'b1'",
+            "unknown refuser 'zz'",
+            "duplicate refuser 'b1'",
+        ]
+
+
+class TestRefusalOracle:
+    @given(st.one_of(malformed_raws(), wellformed_raws()))
+    @settings(deadline=None, max_examples=400)
+    def test_same_result_as_rebuilding_loop(self, raw):
+        assert snapshot(preprocess_refusals(raw)) == snapshot(reference_preprocess_refusals(raw))
+
+    @given(smp_instances())
+    @settings(deadline=None)
+    def test_no_refusers_shares_the_tables(self, inst):
+        raw = RawInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists)
+        prepared = preprocess_refusals(raw)
+        assert prepared.girl_lists is raw.girl_lists and prepared.boy_lists is raw.boy_lists
+        assert snapshot(prepared) == snapshot(reference_preprocess_refusals(raw))
+
+    def test_unknown_key_or_duplicate_name_takes_the_loop(self):
+        unknown = RawInstance(("g1",), ("b1",), {"g1": ("b1",), "gx": ("b1",)}, {"b1": ()})
+        repeated = RawInstance(("g1", "g1"), ("b1",), {"g1": ("b1",)}, {"b1": ()})
+        reordered = RawInstance(("g1", "g2"), (), {"g2": (), "g1": ()}, {})
+        for raw in (unknown, repeated, reordered):
+            prepared = preprocess_refusals(raw)
+            assert prepared.girl_lists is not raw.girl_lists
+            assert snapshot(prepared) == snapshot(reference_preprocess_refusals(raw))
+
 def listed_names(inst):
     """The girls and boys who hold lists, in roster order."""
     return (

@@ -407,6 +407,26 @@ class TestRepairMismatches:
         with pytest.raises(ValueError, match="not an edge"):
             repair_mismatches(star, star_matching(star, [("g1", "b1"), ("g2", "b2")]))
 
+    def test_edge_sets_only_for_rows_a_chain_adds_to(self, i3):
+        star = build_star_graph(i3)
+        clean = star_matching(star, [("g1", "Lb1"), ("Lg1", "b1"), ("g2", "Lb2"), ("Lg2", "b2")])
+        repair_mismatches(star, clean)
+        assert star._row_sets == {}
+        crossed = star_matching(
+            star, [("g1", "Lb1"), ("g2", "Lb2"), ("Lg2", "b1"), ("Lg1", "b2")]
+        )
+        repair_mismatches(star, crossed)
+        assert set(star._row_sets) == {star.lg_node[0], star.lg_node[1]}
+
+    @given(smp_instances())
+    @settings(deadline=None)
+    def test_has_edge_agrees_with_adjacency(self, inst):
+        star = build_star_graph(inst)
+        graph = star.graph
+        for u in range(graph.left_count):
+            for v in range(graph.right_count):
+                assert star.has_edge(u, v) == (v in graph.adjacency[u])
+
     def test_crossed_blocks_scale_linearly(self):
         # The rescanning loop took 19-26 s here, quadratic in n.
         star, crossed = crossed_blocks(8000)
