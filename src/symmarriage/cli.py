@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import stat
 import sys
@@ -127,6 +128,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
+    # A command allocates about one tuple or dict per list entry, and none of
+    # them can form a reference cycle, so the cyclic collector would only
+    # rescan them.  Pause it for the one command and restore the caller's
+    # setting on every way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except InvariantError as exc:
@@ -135,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CANTCREAT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry() -> None:
@@ -343,3 +353,7 @@ def _verify_claim(prepared: SmpInstance | Infeasible, result: ResultDoc) -> list
             f"subset of {len(members)}"
         )
     return problems
+
+
+if __name__ == "__main__":
+    entry()

@@ -20,6 +20,7 @@ INSTANCE_VERSION = 1
 
 _INSTANCE_KEYS = ("version", "girls", "boys", "girl_lists", "boy_lists", "refusers")
 _STATUSES = ("solved", "unsolvable", "infeasible")
+_STR = {str}
 
 
 class ParseError(ValueError):
@@ -68,12 +69,14 @@ def _list_table(value, field: str, owner: str) -> dict[str, tuple[str, ...]]:
         raise ParseError(f"'{field}' must be an object")
     table: dict[str, tuple[str, ...]] = {}
     for key, entries in value.items():
-        arr = _string_array(entries, f"{field}.{key}")
-        if not arr:
+        # One C-level type test per row; json.loads never yields subclasses.
+        if type(entries) is not list or not set(map(type, entries)) <= _STR:
+            raise ParseError(f"'{field}.{key}' must be an array of strings")
+        if not entries:
             raise ParseError(
                 f"empty list for {owner} '{key}' (omit the key to mean no list)"
             )
-        table[key] = arr
+        table[key] = tuple(entries)
     return table
 
 
@@ -87,7 +90,7 @@ def parse_instance(text: str) -> RawInstance:
         if key not in doc:
             raise ParseError(f"missing key '{key}'")
     version = doc["version"]
-    if isinstance(version, bool) or version != INSTANCE_VERSION:
+    if type(version) is not int or version != INSTANCE_VERSION:
         raise ParseError(f"unsupported version {version!r} (expected {INSTANCE_VERSION})")
     girls = _string_array(doc["girls"], "girls")
     boys = _string_array(doc["boys"], "boys")

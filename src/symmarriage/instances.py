@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, filterfalse, repeat
+from operator import not_
 from typing import Iterable, Mapping
 
 
@@ -61,40 +63,48 @@ class SmpInstance:
         return cls(g, b, _normalize_lists(g, girl_lists), _normalize_lists(b, boy_lists))
 
     # Index caches below assume a valid instance (no dangling references).
+    # Each is built by C-level maps over whole rows, with no Python step per
+    # list entry.
 
     @cached_property
     def girl_index(self) -> dict[str, int]:
-        return {g: i for i, g in enumerate(self.girls)}
+        return dict(zip(self.girls, range(len(self.girls))))
 
     @cached_property
     def boy_index(self) -> dict[str, int]:
-        return {b: i for i, b in enumerate(self.boys)}
+        return dict(zip(self.boys, range(len(self.boys))))
 
     @cached_property
     def girl_lists_idx(self) -> tuple[tuple[int, ...], ...]:
-        bi = self.boy_index
-        return tuple(tuple(bi[b] for b in self.girl_lists[g]) for g in self.girls)
+        return _index_rows(self.girls, self.girl_lists, self.boy_index)
 
     @cached_property
     def boy_lists_idx(self) -> tuple[tuple[int, ...], ...]:
-        gi = self.girl_index
-        return tuple(tuple(gi[g] for g in self.boy_lists[b]) for b in self.boys)
+        return _index_rows(self.boys, self.boy_lists, self.girl_index)
 
     @cached_property
     def girl_list_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.girl_lists_idx)
+        return tuple(map(frozenset, self.girl_lists_idx))
 
     @cached_property
     def boy_list_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self.boy_lists_idx)
+        return tuple(map(frozenset, self.boy_lists_idx))
 
     @cached_property
     def listed_girl_idx(self) -> tuple[int, ...]:
-        return tuple(i for i, row in enumerate(self.girl_lists_idx) if row)
+        return tuple(compress(range(len(self.girls)), self.girl_lists_idx))
 
     @cached_property
     def listed_boy_idx(self) -> tuple[int, ...]:
-        return tuple(i for i, row in enumerate(self.boy_lists_idx) if row)
+        return tuple(compress(range(len(self.boys)), self.boy_lists_idx))
+
+
+def _index_rows(
+    roster: tuple[str, ...], lists: dict[str, tuple[str, ...]], index: dict[str, int]
+) -> tuple[tuple[int, ...], ...]:
+    """Each roster member's list translated to the other side's indices."""
+    lookup = index.__getitem__
+    return tuple(tuple(map(lookup, row)) for row in map(lists.__getitem__, roster))
 
 
 @dataclass(frozen=True)
@@ -239,23 +249,22 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
         # the loop below would rebuild the same tables.
         return SmpInstance(raw.girls, raw.boys, raw.girl_lists, raw.boy_lists)
     refuse = set(raw.refusers)
-    girls = tuple(g for g in raw.girls if g not in refuse)
-    boys = tuple(b for b in raw.boys if b not in refuse)
-    girl_lists: dict[str, tuple[str, ...]] = {}
-    for g in girls:
-        old = raw.girl_lists.get(g, ())
-        new = tuple(b for b in old if b not in refuse)
-        if old and not new:
-            return Infeasible(g)
-        girl_lists[g] = new
-    boy_lists: dict[str, tuple[str, ...]] = {}
-    for b in boys:
-        old = raw.boy_lists.get(b, ())
-        new = tuple(g for g in old if g not in refuse)
-        if old and not new:
-            return Infeasible(b)
-        boy_lists[b] = new
-    return SmpInstance(girls, boys, girl_lists, boy_lists)
+    girls = tuple(filterfalse(refuse.__contains__, raw.girls))
+    boys = tuple(filterfalse(refuse.__contains__, raw.boys))
+    tables = []
+    for roster, lists in ((girls, raw.girl_lists), (boys, raw.boy_lists)):
+        rows = list(map(lists.get, roster, repeat(())))
+        table = dict(zip(roster, rows))
+        # A row holding no refuser is kept as it is; only the rows that
+        # hold one are filtered, in roster order.
+        holds_refuser = map(not_, map(refuse.isdisjoint, rows))
+        for m, old in compress(zip(roster, rows), holds_refuser):
+            new = tuple(filterfalse(refuse.__contains__, old))
+            if not new:
+                return Infeasible(m)
+            table[m] = new
+        tables.append(table)
+    return SmpInstance(girls, boys, *tables)
 
 
 def pared_rows(instance: SmpInstance, side: str) -> tuple[tuple[int, ...], ...]:

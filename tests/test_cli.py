@@ -1,16 +1,29 @@
 """Command-line interface: formats, exit codes, round trips, agreement."""
 
 import errno
+import gc
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmarriage import HallViolator, SmpInstance, Unsolvable, pare_lists, solve, validate_raw
-from symmarriage import cli
+import symmarriage
+from symmarriage import (
+    HallViolator,
+    InvariantError,
+    SmpInstance,
+    Unsolvable,
+    pare_lists,
+    solve,
+    validate_raw,
+)
+from symmarriage import cli, fileio
 from symmarriage.cli import main
 from symmarriage.weighted import WEIGHT_GUARD
 from symmarriage.fileio import (
@@ -49,7 +62,7 @@ def write_doc(tmp_path, name, doc):
 
 class TestInstanceFormat:
     def test_parse_wildcards_by_omission(self, i1_file):
-        raw = parse_instance(open(i1_file).read())
+        raw = parse_instance(Path(i1_file).read_text())
         assert raw.girl_lists == {"g1": ("b1", "b2"), "g2": ()}
         assert raw.refusers == ()
         assert validate_raw(raw) == []
@@ -75,6 +88,14 @@ class TestInstanceFormat:
         doc = dict(I1_DOC, version=2)
         with pytest.raises(ParseError, match="version"):
             parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [1.0, "1", True])
+    def test_version_must_be_the_integer_one(self, version, tmp_path, capsys):
+        path = write_doc(tmp_path, "v.json", dict(I1_DOC, version=version))
+        assert main(["solve", path]) == 65
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unsupported version {version!r} (expected 1)\n"
 
     def test_duplicate_json_key_rejected(self):
         text = '{"version": 1, "version": 1, "girls": [], "boys": [], "girl_lists": {}, "boy_lists": {}}'
@@ -126,7 +147,7 @@ class TestSolveCommand:
     def test_solved(self, i1_file, tmp_path, capsys):
         out = str(tmp_path / "r.json")
         assert main(["solve", i1_file, "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc == {"status": "solved", "assignment": [["g1", "b2"], ["g2", "b1"]]}
 
     def test_unsolvable(self, tmp_path):
@@ -143,7 +164,7 @@ class TestSolveCommand:
         )
         out = str(tmp_path / "r.json")
         assert main(["solve", path, "--output", out]) == 1
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert doc["status"] == "unsolvable"
         assert doc["violator"] == {"side": "girls", "members": ["g1", "g2"], "union_size": 1}
 
@@ -162,7 +183,7 @@ class TestSolveCommand:
         )
         out = str(tmp_path / "r.json")
         assert main(["solve", path, "--output", out]) == 2
-        assert json.loads(open(out).read()) == {
+        assert json.loads(Path(out).read_text()) == {
             "status": "infeasible",
             "infeasible_member": "g1",
         }
@@ -172,7 +193,7 @@ class TestSolveCommand:
         for method in ("star", "subproblems", "weight"):
             out = str(tmp_path / f"{method}.json")
             assert main(["solve", i1_file, "--method", method, "--output", out]) == 0
-            outputs.append(json.loads(open(out).read())["status"])
+            outputs.append(json.loads(Path(out).read_text())["status"])
         assert outputs == ["solved"] * 3
 
     def test_usage_error(self):
@@ -268,14 +289,14 @@ class TestGenCommand:
     def test_tournament_structure(self, tmp_path):
         out = str(tmp_path / "t.json")
         assert main(["gen", "tournament", "--n", "2", "--seed", "7", "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert len(doc["girls"]) == 3 and len(doc["boys"]) == 4
         assert len(doc["girl_lists"]) == 3 and doc["boy_lists"] == {}
 
     def test_rooks_permutation_instance(self, tmp_path):
         out = str(tmp_path / "r.json")
         assert main(["gen", "rooks", "--n", "1", "--seed", "0", "--output", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert len(doc["girls"]) == 2
         assert all(len(v) == 1 for v in doc["girl_lists"].values())
 
@@ -291,7 +312,7 @@ class TestGenCommand:
             "--paid", "2", "--mandatory", "1", "--seed", "3", "--output", out,
         ]
         assert main(args) == 0
-        raw = parse_instance(open(out).read())
+        raw = parse_instance(Path(out).read_text())
         assert validate_raw(raw) == []
 
     def test_usage_errors(self):
@@ -600,3 +621,143 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             "error: invalid JSON: arrays or objects nested too deeply\n"
         )
+
+
+def reference_list_table(value, field, owner):
+    """The per-entry list-table checks, kept as the oracle for the row fast path."""
+    if not isinstance(value, dict):
+        raise ParseError(f"'{field}' must be an object")
+    table = {}
+    for key, entries in value.items():
+        if not isinstance(entries, list) or not all(isinstance(x, str) for x in entries):
+            raise ParseError(f"'{field}.{key}' must be an array of strings")
+        if not entries:
+            raise ParseError(f"empty list for {owner} '{key}' (omit the key to mean no list)")
+        table[key] = tuple(entries)
+    return table
+
+
+def list_table_outcome(parse, value):
+    """The table with its key order, or the message of the error raised."""
+    try:
+        return list(parse(value, "girl_lists", "girl").items())
+    except ParseError as exc:
+        return str(exc)
+
+
+NAMES = st.sampled_from(["b1", "b2", "b3"])
+NON_STRINGS = st.one_of(
+    st.integers(-2, 2), st.none(), st.booleans(), st.floats(allow_nan=False), st.lists(NAMES)
+)
+LIST_ROWS = st.one_of(
+    st.lists(NAMES, min_size=1, max_size=4),
+    st.lists(st.one_of(NAMES, NON_STRINGS), max_size=4),
+    st.just([]),
+    st.one_of(NAMES, st.integers(), st.none(), st.dictionaries(NAMES, NAMES)),
+)
+
+
+class TestListTableOracle:
+    @given(
+        st.one_of(
+            st.dictionaries(st.sampled_from(["g1", "g2", "g3", "g4"]), LIST_ROWS),
+            st.lists(NAMES),
+            st.none(),
+        )
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_same_table_or_message(self, value):
+        assert list_table_outcome(fileio._list_table, value) == list_table_outcome(
+            reference_list_table, value
+        )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b1", "'girl_lists.g2' must be an array of strings"),
+            (["b1", 3], "'girl_lists.g2' must be an array of strings"),
+            (["b1", None], "'girl_lists.g2' must be an array of strings"),
+            ([True], "'girl_lists.g2' must be an array of strings"),
+            ([["b1"]], "'girl_lists.g2' must be an array of strings"),
+            ([], "empty list for girl 'g2' (omit the key to mean no list)"),
+        ],
+    )
+    def test_first_bad_row_named(self, row, message):
+        value = {"g1": ["b1"], "g2": row, "g3": []}
+        assert list_table_outcome(fileio._list_table, value) == message
+        assert list_table_outcome(reference_list_table, value) == message
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["symmarriage", "symmarriage.cli"])
+    @pytest.mark.parametrize(
+        "girl_lists, code", [({"g1": ["b1"]}, 0), ({"g1": ["b1"], "g2": ["b1"]}, 1)]
+    )
+    def test_same_bytes_and_exit_as_main(self, module, girl_lists, code, tmp_path, capsys):
+        path = write_doc(tmp_path, "inst.json", dict(I1_DOC, girl_lists=girl_lists, boy_lists={}))
+        assert main(["solve", path]) == code
+        expected = capsys.readouterr().out.encode("utf-8")
+        src = str(Path(symmarriage.__file__).resolve().parent.parent)
+        paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+        done = subprocess.run(
+            [sys.executable, "-m", module, "solve", path],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (code, expected, b"")
+
+
+class TestCollectorPause:
+    @staticmethod
+    def _run_with_collector(enabled, argv):
+        """``main``'s exit code, or the exception that escaped it, and the
+        collector's state right after, with the collector set to ``enabled``
+        beforehand."""
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                outcome = main(argv)
+            except KeyError:
+                outcome = KeyError
+            return outcome, gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_on_every_exit(self, enabled, i1_file, tmp_path, monkeypatch, capsys):
+        bad = write_doc(tmp_path, "bad.json", dict(I1_DOC, version=2))
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert self._run_with_collector(enabled, ["solve", i1_file]) == (0, enabled)
+        assert self._run_with_collector(enabled, ["solve", bad]) == (65, enabled)
+        assert self._run_with_collector(enabled, ["solve", i1_file, "--output", str(taken)]) == (
+            73,
+            enabled,
+        )
+        assert self._run_with_collector(enabled, ["nonsense"]) == (64, enabled)
+
+        def broken(instance):
+            raise InvariantError("stubbed")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        assert self._run_with_collector(enabled, ["solve", i1_file]) == (70, enabled)
+
+        def escaping(instance):
+            raise KeyError("not handled by main")
+
+        monkeypatch.setattr(cli, "solve", escaping)
+        assert self._run_with_collector(enabled, ["solve", i1_file]) == (KeyError, enabled)
+        capsys.readouterr()
+
+    def test_paused_while_the_command_runs(self, i1_file, monkeypatch, capsys):
+        seen = []
+
+        def recording(instance):
+            seen.append(gc.isenabled())
+            return solve(instance)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        assert self._run_with_collector(True, ["solve", i1_file]) == (0, True)
+        assert seen == [False]

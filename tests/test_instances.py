@@ -138,7 +138,8 @@ def reference_validate_raw(raw):
 
 
 def reference_preprocess_refusals(raw):
-    """The table-rebuilding refusal loop, kept as the oracle for the no-op path."""
+    """The table-rebuilding refusal loop, kept as the oracle for the no-op path
+    and for row reuse."""
     refuse = set(raw.refusers)
     girls = tuple(g for g in raw.girls if g not in refuse)
     boys = tuple(b for b in raw.boys if b not in refuse)
@@ -254,6 +255,77 @@ class TestRefusalOracle:
             prepared = preprocess_refusals(raw)
             assert prepared.girl_lists is not raw.girl_lists
             assert snapshot(prepared) == snapshot(reference_preprocess_refusals(raw))
+
+    def test_rows_without_a_refuser_are_reused(self):
+        raw = RawInstance.build(
+            ["g1", "g2", "g3"],
+            ["b1", "b2", "b3"],
+            {"g3": ["b1", "b2"], "g1": ["b2"], "g2": ["b3"]},
+            {"b2": ["g1", "g2"], "b1": ["g3"]},
+            ["b3", "g2"],
+        )
+        prepared = preprocess_refusals(raw)
+        assert snapshot(prepared) == snapshot(reference_preprocess_refusals(raw)) == (
+            ("g1", "g3"),
+            ("b1", "b2"),
+            [("g1", ("b2",)), ("g3", ("b1", "b2"))],
+            [("b1", ("g3",)), ("b2", ("g1",))],
+        )
+        assert prepared.girl_lists["g1"] is raw.girl_lists["g1"]
+        assert prepared.girl_lists["g3"] is raw.girl_lists["g3"]
+        assert prepared.boy_lists["b1"] is raw.boy_lists["b1"]
+
+    @pytest.mark.parametrize(
+        "refusers, member",
+        [(["b1"], "g2"), (["g3"], "b2"), (["b1", "g3"], "g2"), (["b2", "g1"], "b1")],
+    )
+    def test_first_emptied_list_girls_before_boys(self, refusers, member):
+        raw = RawInstance.build(
+            ["g1", "g2", "g3"],
+            ["b1", "b2"],
+            {"g1": ["b1", "b2"], "g2": ["b1"]},
+            {"b2": ["g3"], "b1": ["g1"]},
+            refusers,
+        )
+        assert preprocess_refusals(raw) == reference_preprocess_refusals(raw) == Infeasible(member)
+
+
+def reference_index_caches(inst):
+    """The index caches as per-entry generators, kept as the oracle for the
+    C-level maps."""
+    girl_index = {g: i for i, g in enumerate(inst.girls)}
+    boy_index = {b: i for i, b in enumerate(inst.boys)}
+    girl_rows = tuple(tuple(boy_index[b] for b in inst.girl_lists[g]) for g in inst.girls)
+    boy_rows = tuple(tuple(girl_index[g] for g in inst.boy_lists[b]) for b in inst.boys)
+    return {
+        "girl_index": list(girl_index.items()),
+        "boy_index": list(boy_index.items()),
+        "girl_lists_idx": girl_rows,
+        "boy_lists_idx": boy_rows,
+        "girl_list_sets": tuple(frozenset(row) for row in girl_rows),
+        "boy_list_sets": tuple(frozenset(row) for row in boy_rows),
+        "listed_girl_idx": tuple(i for i, row in enumerate(girl_rows) if row),
+        "listed_boy_idx": tuple(i for i, row in enumerate(boy_rows) if row),
+    }
+
+
+def index_caches(inst):
+    caches = {name: getattr(inst, name) for name in reference_index_caches(inst)}
+    caches["girl_index"] = list(caches["girl_index"].items())
+    caches["boy_index"] = list(caches["boy_index"].items())
+    return caches
+
+
+class TestIndexCacheOracle:
+    @given(smp_instances())
+    @settings(deadline=None, max_examples=300)
+    def test_same_caches_as_generators(self, inst):
+        assert index_caches(inst) == reference_index_caches(inst)
+
+    def test_repeated_roster_name_keeps_its_last_index(self):
+        inst = SmpInstance.build(["g1", "g2", "g1"], ["b1"], {"g1": ["b1"]}, {"b1": ["g1"]})
+        assert index_caches(inst) == reference_index_caches(inst)
+        assert inst.girl_index == {"g1": 2, "g2": 1}
 
 def listed_names(inst):
     """The girls and boys who hold lists, in roster order."""
