@@ -59,7 +59,8 @@ def _load_object(text: str) -> dict:
 
 
 def _string_array(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+    # One C-level type test per array; json.loads never yields subclasses.
+    if type(value) is not list or not set(map(type, value)) <= _STR:
         raise ParseError(f"'{where}' must be an array of strings")
     return tuple(value)
 
@@ -69,14 +70,12 @@ def _list_table(value, field: str, owner: str) -> dict[str, tuple[str, ...]]:
         raise ParseError(f"'{field}' must be an object")
     table: dict[str, tuple[str, ...]] = {}
     for key, entries in value.items():
-        # One C-level type test per row; json.loads never yields subclasses.
-        if type(entries) is not list or not set(map(type, entries)) <= _STR:
-            raise ParseError(f"'{field}.{key}' must be an array of strings")
-        if not entries:
+        row = _string_array(entries, f"{field}.{key}")
+        if not row:
             raise ParseError(
                 f"empty list for {owner} '{key}' (omit the key to mean no list)"
             )
-        table[key] = tuple(entries)
+        table[key] = row
     return table
 
 

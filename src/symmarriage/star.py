@@ -168,19 +168,13 @@ def _check_repairable(star: StarGraph, matching: Matching) -> None:
             f"matching has size {len(matching.pairs)}, repair requires {star.target_size}"
         )
     # A matching touches each left vertex once, so scanning the rows is
-    # linear in the edges.
+    # linear in the edges.  Every star edge touches exactly one listed core
+    # (a direct edge its listed end, (g, L_b) girl g, (L_g, b) boy b), so
+    # target_size matched edges cover every listed core.
     adj = star.graph.adjacency
     for u, v in matching.pairs:
         if v not in adj[u]:
             raise ValueError(f"({u}, {v}) is not an edge of the star graph")
-    pair_left = matching.left_map
-    pair_right = matching.right_map
-    for g in star.listed_girls:
-        if g not in pair_left:
-            raise ValueError(f"listed girl core {g} is uncovered")
-    for b in star.listed_boys:
-        if b not in pair_right:
-            raise ValueError(f"listed boy core {b} is uncovered")
 
 
 def _apply_chain(
@@ -194,80 +188,43 @@ def _apply_chain(
     """Chase one alternating chain of list-node partners and swap it mutual.
 
     ``start_x`` is the core member currently matched to ``start_y``'s list
-    node, the counterpart edge being absent.  Walking partner-of-list-node
-    pointers must end in one of three ways: a free list node on the start
-    side, a cycle back to ``start_y``, or a free list node on the far side.
-    Each ending admits a swap that pairs every chain member mutually with
-    its chain partner, strictly reducing the mismatch count while keeping
-    the matching size and the covered cores unchanged.  Returns the left
-    vertices whose matched edge the swap changed.
+    node, the counterpart edge being absent.  X is the start's side (girls
+    for a girl start, boys otherwise) and Y the other; edges are built as
+    (X-side vertex, Y-side vertex) and flipped once for a boy start.
+    Walking partner-of-list-node pointers ends in a free list node on the
+    start side, a cycle back to ``start_y``, or a free list node on the far
+    side.  Each ending admits a swap that pairs every chain member mutually
+    with its chain partner, strictly reducing the mismatch count while
+    keeping the matching size and the covered cores unchanged.  Returns the
+    left vertices whose matched edge the swap changed.
     """
     if girl_start:
-        # X side = girls (left cores), Y side = boys (right cores).
-        def lx_partner(x: int) -> int | None:
-            return pair_left.get(star.lg_node[x])
-
-        def ly_partner(y: int) -> int | None:
-            return pair_right.get(star.lb_node[y])
-
-        def x_to_ly(x: int, y: int) -> tuple[int, int]:
-            return (x, star.lb_node[y])
-
-        def y_to_lx(x: int, y: int) -> tuple[int, int]:
-            return (star.lg_node[x], y)
-
-        def y_core_edge(y: int) -> tuple[int, int]:
-            return (pair_right[y], y)
-
+        node_x, node_y, mate_x, mate_y = star.lg_node, star.lb_node, pair_left, pair_right
     else:
-        # Mirror image: X side = boys (right cores), Y side = girls.
-        def lx_partner(x: int) -> int | None:
-            return pair_right.get(star.lb_node[x])
-
-        def ly_partner(y: int) -> int | None:
-            return pair_left.get(star.lg_node[y])
-
-        def x_to_ly(x: int, y: int) -> tuple[int, int]:
-            return (star.lg_node[y], x)
-
-        def y_to_lx(x: int, y: int) -> tuple[int, int]:
-            return (y, star.lb_node[x])
-
-        def y_core_edge(y: int) -> tuple[int, int]:
-            return (y, pair_left[y])
-
+        node_x, node_y, mate_x, mate_y = star.lb_node, star.lg_node, pair_right, pair_left
     xs = [start_x]
     ys = [start_y]
-    removed: list[tuple[int, int]] = []
-    added: list[tuple[int, int]] = []
     while True:
-        nxt_y = lx_partner(xs[-1])
-        if nxt_y is None:
-            # Free list node on the start side: mutualize the tail, then
-            # rewire the starting Y core onto the freed first list node.
-            for i in range(1, len(xs)):
-                removed.append(y_to_lx(xs[i - 1], ys[i]))
-                added.append(y_to_lx(xs[i], ys[i]))
-            removed.append(y_core_edge(ys[0]))
-            added.append(y_to_lx(xs[0], ys[0]))
-            break
-        if nxt_y == ys[0]:
-            # Cycle back to the start: rotate the Y-to-list edges mutual.
-            for i in range(1, len(xs)):
-                removed.append(y_to_lx(xs[i - 1], ys[i]))
-            removed.append(y_to_lx(xs[-1], ys[0]))
-            for i in range(len(xs)):
-                added.append(y_to_lx(xs[i], ys[i]))
+        nxt_y = mate_x.get(node_x[xs[-1]])
+        if nxt_y is None or nxt_y == ys[0]:
+            # Free list node on the start side, or a cycle back to the start
+            # (where ys[0]'s mate is the last X list node): move each Y core
+            # onto its own X partner's list node.
+            removed = [(node_x[x], y) for x, y in zip(xs, ys[1:])]
+            removed.append((mate_y[ys[0]], ys[0]))
+            added = [(node_x[x], y) for x, y in zip(xs, ys)]
             break
         ys.append(nxt_y)
-        nxt_x = ly_partner(ys[-1])
+        nxt_x = mate_y.get(node_y[nxt_y])
         if nxt_x is None:
             # Free list node on the far side: shift every X one step along.
-            for i in range(len(xs)):
-                removed.append(x_to_ly(xs[i], ys[i]))
-                added.append(x_to_ly(xs[i], ys[i + 1]))
+            removed = [(x, node_y[y]) for x, y in zip(xs, ys)]
+            added = [(x, node_y[y]) for x, y in zip(xs, ys[1:])]
             break
         xs.append(nxt_x)
+    if not girl_start:
+        removed = [(y, x) for x, y in removed]
+        added = [(y, x) for x, y in added]
     for u, v in removed:
         if pair_left.get(u) != v:
             raise InvariantError(f"chain swap removes unmatched edge ({u}, {v})")
@@ -454,13 +411,8 @@ def solve_via_subproblems(instance: SmpInstance) -> Assignment | Unsolvable:
     listed_g = instance.listed_girl_idx
     listed_b = instance.listed_boy_idx
     star = build_star_graph(instance)
-    pairs = []
-    for k, b in g_matching.pairs:
-        g = listed_g[k]
-        pairs.append((g, star.lb_node[b]) if b in star.lb_node else (g, b))
-    for k, g in b_matching.pairs:
-        b = listed_b[k]
-        pairs.append((star.lg_node[g], b) if g in star.lg_node else (g, b))
+    pairs = [(listed_g[k], star.lb_node.get(b, b)) for k, b in g_matching.pairs]
+    pairs += [(star.lg_node.get(g, g), listed_b[k]) for k, g in b_matching.pairs]
     combined = Matching(tuple(sorted(pairs)))
     repaired = repair_mismatches(star, combined)
     return extract_assignment(star, repaired)

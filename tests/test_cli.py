@@ -688,6 +688,50 @@ class TestListTableOracle:
         assert list_table_outcome(reference_list_table, value) == message
 
 
+def reference_string_array(value, where):
+    """The per-entry array check, kept as the oracle for the shared C-level test."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ParseError(f"'{where}' must be an array of strings")
+    return tuple(value)
+
+
+def string_array_outcome(parse, value):
+    try:
+        return parse(value, "girls")
+    except ParseError as exc:
+        return str(exc)
+
+
+ROSTER_VALUES = [3, 2.5, None, True, "g1", {"g1": "g1"}, ["g1", 2], ["g1", None], [False], [["g1"]]]
+
+
+class TestStringArrayOracle:
+    @given(st.one_of(st.lists(st.one_of(NAMES, NON_STRINGS), max_size=4), NON_STRINGS, NAMES))
+    @settings(deadline=None, max_examples=400)
+    def test_same_tuple_or_message(self, value):
+        assert string_array_outcome(fileio._string_array, value) == string_array_outcome(
+            reference_string_array, value
+        )
+
+    @pytest.mark.parametrize("value", ROSTER_VALUES)
+    @pytest.mark.parametrize("field", ["girls", "boys", "refusers"])
+    def test_roster_rejects_non_strings(self, field, value):
+        expected = f"'{field}' must be an array of strings"
+        with pytest.raises(ParseError) as got:
+            reference_string_array(value, field)
+        assert str(got.value) == expected
+        with pytest.raises(ParseError) as got:
+            parse_instance(json.dumps(dict(I1_DOC, **{field: value})))
+        assert str(got.value) == expected
+
+    @pytest.mark.parametrize("value", ROSTER_VALUES)
+    def test_violator_members_reject_non_strings(self, value):
+        violator = {"side": "girls", "members": value, "union_size": 0}
+        with pytest.raises(ParseError) as got:
+            parse_result(json.dumps({"status": "unsolvable", "violator": violator}))
+        assert str(got.value) == "'violator.members' must be an array of strings"
+
+
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["symmarriage", "symmarriage.cli"])
     @pytest.mark.parametrize(
@@ -761,3 +805,50 @@ class TestCollectorPause:
         monkeypatch.setattr(cli, "solve", recording)
         assert self._run_with_collector(True, ["solve", i1_file]) == (0, True)
         assert seen == [False]
+
+
+class TestParserBuiltOnce:
+    def test_one_build_for_many_calls(self, i1_file, tmp_path, monkeypatch, capsys):
+        built = []
+        real_init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        res = solved_result(tmp_path, i1_file)
+        for argv in (
+            ["solve", i1_file],
+            ["check", i1_file],
+            ["verify", i1_file, res],
+            ["nonsense"],
+            ["--help"],
+        ):
+            main(argv)
+        # One top-level parser; the rest are its subcommand parsers.
+        assert built.count("symmarriage") == 1
+        assert len(built) == 5
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["gen", "--help"]])
+    def test_help_output_unchanged(self, argv, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        assert done.value.code == 0
+        fresh = capsys.readouterr()
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr() == fresh
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["nonsense"], ["solve"], ["solve", "x", "--method", "y"], ["gen", "rooks", "--n", "z"]],
+    )
+    def test_usage_error_unchanged(self, argv, capsys):
+        with pytest.raises(cli._UsageError) as fresh:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        for _ in range(2):
+            assert main(argv) == 64
+            assert capsys.readouterr() == ("", f"usage error: {fresh.value}\n")

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symmarriage
 from symmarriage import (
@@ -305,6 +307,112 @@ def rescanning_repair(star, matching, stats):
     return Matching(tuple(sorted(pair_left.items())))
 
 
+def reference_apply_chain(star, pair_left, pair_right, start_x, start_y, girl_start, endings):
+    """The chain swap written out once per start side, with the start-side-free
+    and cycle endings apart, kept as the oracle for the single walk in
+    ``star._apply_chain``.  Counts the ending it takes in ``endings``."""
+    if girl_start:
+        # X side = girls (left cores), Y side = boys (right cores).
+        def lx_partner(x):
+            return pair_left.get(star.lg_node[x])
+
+        def ly_partner(y):
+            return pair_right.get(star.lb_node[y])
+
+        def x_to_ly(x, y):
+            return (x, star.lb_node[y])
+
+        def y_to_lx(x, y):
+            return (star.lg_node[x], y)
+
+        def y_core_edge(y):
+            return (pair_right[y], y)
+
+    else:
+        # Mirror image: X side = boys (right cores), Y side = girls.
+        def lx_partner(x):
+            return pair_right.get(star.lb_node[x])
+
+        def ly_partner(y):
+            return pair_left.get(star.lg_node[y])
+
+        def x_to_ly(x, y):
+            return (star.lg_node[y], x)
+
+        def y_to_lx(x, y):
+            return (y, star.lb_node[x])
+
+        def y_core_edge(y):
+            return (y, pair_left[y])
+
+    xs = [start_x]
+    ys = [start_y]
+    removed, added = [], []
+    while True:
+        nxt_y = lx_partner(xs[-1])
+        if nxt_y is None:
+            endings["start-side free"] += 1
+            for i in range(1, len(xs)):
+                removed.append(y_to_lx(xs[i - 1], ys[i]))
+                added.append(y_to_lx(xs[i], ys[i]))
+            removed.append(y_core_edge(ys[0]))
+            added.append(y_to_lx(xs[0], ys[0]))
+            break
+        if nxt_y == ys[0]:
+            endings["cycle"] += 1
+            for i in range(1, len(xs)):
+                removed.append(y_to_lx(xs[i - 1], ys[i]))
+            removed.append(y_to_lx(xs[-1], ys[0]))
+            for i in range(len(xs)):
+                added.append(y_to_lx(xs[i], ys[i]))
+            break
+        ys.append(nxt_y)
+        nxt_x = ly_partner(ys[-1])
+        if nxt_x is None:
+            endings["far-side free"] += 1
+            for i in range(len(xs)):
+                removed.append(x_to_ly(xs[i], ys[i]))
+                added.append(x_to_ly(xs[i], ys[i + 1]))
+            break
+        xs.append(nxt_x)
+    for u, v in removed:
+        assert pair_left.get(u) == v
+        del pair_left[u]
+        del pair_right[v]
+    for u, v in added:
+        assert star.has_edge(u, v) and u not in pair_left and v not in pair_right
+        pair_left[u] = v
+        pair_right[v] = u
+    return {u for u, _ in removed} | {u for u, _ in added}
+
+
+def shuffled_max_matching(star, rng):
+    """A maximum matching of the star graph with every row's neighbour
+    order shuffled, so ties break unlike the canonical matcher's."""
+    rows = []
+    for row in star.graph.adjacency:
+        row = list(row)
+        rng.shuffle(row)
+        rows.append(tuple(row))
+    return max_matching(BipartiteGraph(star.graph.left_count, star.graph.right_count, tuple(rows)))
+
+
+def dense_mutual_instance(rng, wildcard_rate=0.0):
+    """n x n with long, mostly mutual lists; each member is a wildcard with
+    probability ``wildcard_rate``."""
+    n = int(rng.integers(2, 8))
+    girls = tuple(f"g{i}" for i in range(n))
+    boys = tuple(f"b{j}" for j in range(n))
+    lists = ({}, {})
+    for side, members, others in ((0, girls, boys), (1, boys, girls)):
+        for m in members:
+            if wildcard_rate and rng.random() < wildcard_rate:
+                continue
+            k = int(rng.integers(max(1, n - 2), n + 1))
+            lists[side][m] = tuple(others[j] for j in sorted(rng.choice(n, size=k, replace=False)))
+    return SmpInstance.build(girls, boys, *lists)
+
+
 def crossed_blocks(n):
     """n/2 disjoint, fully mutual 2x2 blocks fed a crossed full matching:
     girl k holds L_{b_k} while L_{g_k} holds the block's other boy, so each
@@ -572,32 +680,9 @@ class TestSolverAgainstOracle:
         rng = np.random.default_rng(77)
         exercised = 0
         for _ in range(600):
-            n = int(rng.integers(2, 8))
-            girls = tuple(f"g{i}" for i in range(n))
-            boys = tuple(f"b{j}" for j in range(n))
-            girl_lists = {}
-            boy_lists = {}
-            for g in girls:
-                k = int(rng.integers(max(1, n - 2), n + 1))
-                girl_lists[g] = tuple(
-                    boys[j] for j in sorted(rng.choice(n, size=k, replace=False))
-                )
-            for b in boys:
-                k = int(rng.integers(max(1, n - 2), n + 1))
-                boy_lists[b] = tuple(
-                    girls[i] for i in sorted(rng.choice(n, size=k, replace=False))
-                )
-            inst = SmpInstance.build(girls, boys, girl_lists, boy_lists)
+            inst = dense_mutual_instance(rng)
             star = build_star_graph(inst)
-            rows = []
-            for row in star.graph.adjacency:
-                row = list(row)
-                rng.shuffle(row)
-                rows.append(tuple(row))
-            shuffled = BipartiteGraph(
-                star.graph.left_count, star.graph.right_count, tuple(rows)
-            )
-            m = max_matching(shuffled)
+            m = shuffled_max_matching(star, rng)
             if len(m) != star.target_size:
                 continue
             stats = {}
@@ -613,6 +698,52 @@ class TestSolverAgainstOracle:
             if stats["initial_mismatches"]:
                 exercised += 1
         assert exercised > 100
+
+
+    def test_chain_walk_matches_mirrored_reference(self):
+        # Repair by chains from randomly picked mismatched edges; after
+        # every chain the single walk and the mirrored one must leave the
+        # same pair maps and report the same changed vertices, over both
+        # start sides and all three endings.
+        rng = np.random.default_rng(78)
+        endings = Counter()
+        starts = Counter()
+        for _ in range(3000):
+            inst = dense_mutual_instance(rng, wildcard_rate=0.25)
+            star = build_star_graph(inst)
+            m = shuffled_max_matching(star, rng)
+            if len(m) != star.target_size:
+                continue
+            n_g, n_b = len(inst.girls), len(inst.boys)
+            pair_left = dict(m.pairs)
+            pair_right = {v: u for u, v in m.pairs}
+            while mismatched := star_module._mismatched_edges(star, pair_left):
+                u, v = mismatched[rng.integers(len(mismatched))]
+                if u < n_g:
+                    start = (u, star.listed_boys[v - n_b], True)
+                else:
+                    start = (v, star.listed_girls[u - n_g], False)
+                starts[start[2]] += 1
+                ref_left, ref_right = dict(pair_left), dict(pair_right)
+                expected = reference_apply_chain(star, ref_left, ref_right, *start, endings)
+                changed = star_module._apply_chain(star, pair_left, pair_right, *start)
+                assert (pair_left, pair_right, changed) == (ref_left, ref_right, expected)
+        assert min(starts[True], starts[False]) > 1000, starts
+        assert len(endings) == 3 and min(endings.values()) > 200, endings
+
+    @given(smp_instances(), st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=300)
+    def test_full_size_matching_covers_every_listed_core(self, inst, seed):
+        # Repair checks only size and edges; coverage of the listed cores
+        # follows because each star edge touches exactly one listed core.
+        star = build_star_graph(inst)
+        listed_g, listed_b = set(star.listed_girls), set(star.listed_boys)
+        for u, row in enumerate(star.graph.adjacency):
+            for v in row:
+                assert (u in listed_g) + (v in listed_b) == 1
+        m = shuffled_max_matching(star, np.random.default_rng(seed))
+        if len(m) == star.target_size:
+            assert listed_g <= set(m.left_map) and listed_b <= set(m.right_map)
 
 
 class TestTriangleFixture:
