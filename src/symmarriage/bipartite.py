@@ -1,7 +1,8 @@
 """Maximum bipartite matching (Hopcroft-Karp) and Hall-style certificates.
 
 The matcher is deterministic: vertices are visited in ascending index
-order, so repeated calls on the same graph return the identical matching.
+order, so repeated calls on the same graph return the identical matching,
+whichever side its phases are layered from.
 When a maximum matching leaves a left vertex exposed, a deficiency
 certificate (a subset whose neighborhood is strictly smaller, the
 König/Hall witness) is read off that matching without matching again.
@@ -12,7 +13,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
+
+from .instances import InvariantError
+
+# -1 marks a free vertex in the match arrays.
+_FREE = (-1).__eq__
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,24 @@ class BipartiteGraph:
             for v in row:
                 if not 0 <= v < self.right_count:
                     raise ValueError(f"edge target {v} out of range at left vertex {u}")
+
+    @classmethod
+    def _from_checked_rows(
+        cls, left_count: int, right_count: int, adjacency: tuple[tuple[int, ...], ...]
+    ) -> "BipartiteGraph":
+        """A graph whose rows were built from already-checked indices.
+
+        Skips the per-edge check of ``__post_init__``: the caller guarantees
+        that every row is duplicate-free and in range, so the public
+        constructor would accept the same arguments.
+        """
+        if len(adjacency) != left_count:
+            raise ValueError("adjacency must have one row per left vertex")
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "left_count", left_count)
+        object.__setattr__(graph, "right_count", right_count)
+        object.__setattr__(graph, "adjacency", adjacency)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -66,12 +91,22 @@ class DeficiencyCertificate:
     neighborhood: tuple[int, ...]
 
 
-def max_matching(graph: BipartiteGraph) -> Matching:
+def max_matching(
+    graph: BipartiteGraph, transpose: Sequence[Sequence[int]] | None = None
+) -> Matching:
     """Maximum-cardinality matching, canonical under the input order.
 
     A greedy seeding pass (ascending left index, first free neighbor) is
     followed by shortest-augmenting-path phases; both visit vertices in
-    ascending order, so the result is reproducible.
+    ascending order, so the result is reproducible.  Matching stops as soon
+    as it covers every non-isolated vertex of one side, where no augmenting
+    path can remain.
+
+    ``transpose``, when given, must list each right vertex's left neighbors
+    (one row per right vertex).  When fewer right than left vertices are
+    free, phases are then layered from the free right vertices.  That
+    admits the same shortest augmenting paths, so the matching is the one
+    returned without it.
     """
     adj = graph.adjacency
     n_left = graph.left_count
@@ -83,14 +118,36 @@ def max_matching(graph: BipartiteGraph) -> Matching:
                 match_l[u] = v
                 match_r[v] = u
                 break
+    size = n_left - match_l.count(-1)
+    live_left = sum(map(bool, adj))
+    if transpose is None:
+        live_right = graph.right_count
+    else:
+        if len(transpose) != graph.right_count:
+            raise ValueError("transpose must have one row per right vertex")
+        live_right = sum(map(bool, transpose))
+    limit = min(live_left, live_right)
+    # Every matched vertex is non-isolated, so the side with fewer free
+    # vertices is the same in every phase.
+    backward = transpose is not None and live_right < live_left
     dist = [0] * n_left
-    while True:
-        goal = _bfs_layers(adj, match_l, match_r, dist)
+    while size < limit:
+        if backward:
+            goal, roots = _bfs_layers_from_right(transpose, match_l, match_r, dist)
+        else:
+            goal = _bfs_layers(adj, match_l, match_r, dist)
+            roots = compress(range(n_left), map(_FREE, match_l))
         if goal is None:
             break
-        for u in range(n_left):
-            if match_l[u] == -1:
-                _augment(adj, match_l, match_r, dist, goal, u)
+        before = size
+        for u in roots:
+            if _augment(adj, match_l, match_r, dist, goal, u):
+                size += 1
+                if size == limit:
+                    break
+        if size == before:
+            # Would repeat the same phase forever.
+            raise InvariantError("a phase with an augmenting path augmented nothing")
     pairs = tuple((u, match_l[u]) for u in range(n_left) if match_l[u] != -1)
     return Matching(pairs)
 
@@ -123,6 +180,45 @@ def _bfs_layers(adj, match_l, match_r, dist) -> int | None:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return None if goal == inf else goal
+
+
+def _bfs_layers_from_right(adj_t, match_l, match_r, dist) -> tuple[int | None, list[int]]:
+    """Layer left vertices by alternating distance to the free right ones.
+
+    A left vertex ``h`` steps from a free right vertex gets ``goal - h``,
+    where ``goal`` is the length of a shortest augmenting path; a vertex on
+    such a path then holds its position along it, as under
+    :func:`_bfs_layers`.  Vertices farther than ``goal`` are left
+    unreachable.  Returns ``goal`` (None when no augmenting path exists) and
+    the free left vertices at distance ``goal``, ascending: the only roots a
+    shortest augmenting path can start from.
+    """
+    inf = len(match_l) + 1
+    dist[:] = [inf] * len(match_l)
+    frontier = list(compress(range(len(match_r)), map(_FREE, match_r)))
+    reached: list[int] = []
+    roots: list[int] = []
+    steps = 0
+    while frontier and not roots:
+        steps += 1
+        nxt: list[int] = []
+        for v in frontier:
+            for u in adj_t[v]:
+                if dist[u] == inf:
+                    dist[u] = steps
+                    reached.append(u)
+                    w = match_l[u]
+                    if w == -1:
+                        roots.append(u)
+                    else:
+                        nxt.append(w)
+        frontier = nxt
+    if not roots:
+        return None, roots
+    for u in reached:
+        dist[u] = steps - dist[u]
+    roots.sort()
+    return steps, roots
 
 
 def _augment(adj, match_l, match_r, dist, goal, root) -> bool:

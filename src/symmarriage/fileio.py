@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
+from json.encoder import encode_basestring
 
 from .hall import HallViolator
 from .instances import RawInstance, SmpInstance
@@ -21,6 +23,8 @@ INSTANCE_VERSION = 1
 _INSTANCE_KEYS = ("version", "girls", "boys", "girl_lists", "boy_lists", "refusers")
 _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
+# One [girl, boy] pair of a solved document, as json.dumps(indent=2) lays it out.
+_PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 
 
 class ParseError(ValueError):
@@ -116,10 +120,10 @@ def serialize_instance(instance: SmpInstance | RawInstance) -> str:
 
 def serialize_result(result: ResultDoc) -> str:
     """Canonical result document with the status-specific payload."""
-    doc: dict = {"status": result.status}
     if result.status == "solved":
-        doc["assignment"] = [[g, b] for g, b in (result.assignment or ())]
-    elif result.status == "unsolvable":
+        return _solved_document(result.assignment or ())
+    doc: dict = {"status": result.status}
+    if result.status == "unsolvable":
         v = result.violator
         doc["violator"] = {
             "side": v.side,
@@ -131,6 +135,22 @@ def serialize_result(result: ResultDoc) -> str:
     else:
         raise ValueError(f"unknown status {result.status!r}")
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _solved_document(pairs: tuple[tuple[str, str], ...]) -> str:
+    """``json.dumps(doc, indent=2, ensure_ascii=False)`` of a solved document.
+
+    Any ``indent`` makes json use its pure-Python encoder; that encoder
+    escapes strings with :func:`json.encoder.encode_basestring`, so escaping
+    every name with it and filling a fixed row template gives the same
+    bytes at C speed.
+    """
+    if pairs:
+        names = tuple(map(encode_basestring, chain.from_iterable(pairs)))
+        body = "[\n" + ",\n".join(repeat(_PAIR_ROW, len(pairs))) % names + "\n  ]"
+    else:
+        body = "[]"
+    return '{\n  "status": "solved",\n  "assignment": ' + body + "\n}\n"
 
 
 def parse_result(text: str) -> ResultDoc:

@@ -10,7 +10,8 @@ list node per listed boy on the right.  Edges:
 
 The listed cores form a vertex cover, so no matching exceeds
 ``#listed girls + #listed boys``; the instance is solvable exactly when a
-maximum matching reaches that size.  Such a matching may pair a girl with
+maximum matching reaches that size.  The graph falls into two components,
+the two pared one-sided graphs, which :func:`solve` matches apart.  Such a matching may pair a girl with
 one boy's list node while that boy's core holds a different girl's list
 node ("mismatched" edges).  Chain swaps rewire those into mutual pairs
 without losing cardinality, after which the pairing can be read off.
@@ -21,6 +22,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import not_
 
 from .bipartite import (
     BipartiteGraph,
@@ -100,6 +103,28 @@ class Unsolvable:
 
 def build_star_graph(instance: SmpInstance) -> StarGraph:
     """Construct the four-group graph; node order follows the rosters."""
+    return _build_star(instance)[0]
+
+
+# Keeps a boy's list entry whose B label (see _build_star) is set.
+_LABELLED = (-1).__ne__
+
+
+def _build_star(
+    instance: SmpInstance,
+) -> tuple[StarGraph, tuple[tuple[int, ...], ...], list[int]]:
+    """The star graph, plus the boys' pared rows over component B's labels.
+
+    Component B of the star has the wildcard girls, then the girls' list
+    nodes, on the left and the listed boys' cores on the right.  Its left
+    vertices are labelled by rank: the r-th wildcard girl is ``r`` and the
+    list node of the k-th listed girl is ``len(wild) + k``.  Row ``b`` of
+    the boys' rows is boy ``b``'s pared list in his list order, over those
+    labels (empty for a wildcard boy): B's transpose, and the boys-left
+    graph of the boys' one-sided subproblem.  Also returns ``wild``, the
+    wildcard girls ascending.  Every row is built from the instance's
+    checked indices.
+    """
     n_g = len(instance.girls)
     n_b = len(instance.boys)
     girl_rows = instance.girl_lists_idx
@@ -109,22 +134,44 @@ def build_star_graph(instance: SmpInstance) -> StarGraph:
     listed_b = instance.listed_boy_idx
     lg_node = {g: n_g + k for k, g in enumerate(listed_g)}
     lb_node = {b: n_b + k for k, b in enumerate(listed_b)}
+    wild = list(compress(range(n_g), map(not_, girl_rows)))
     adjacency: list[list[int]] = [[] for _ in range(n_g + len(listed_g))]
-    for g in range(n_g):
+    # The listed girls each boy is list compatible with, found by the girls
+    # loop, so that the boys loop needs no set of any girl's list.
+    compatible: list[list[int]] = [[] for _ in range(n_b)]
+    for g in listed_g:
+        row = adjacency[g]
+        list_row = adjacency[lg_node[g]]
         for b in girl_rows[g]:
             if not boy_rows[b]:
-                adjacency[g].append(b)
+                row.append(b)
             elif g in boy_sets[b]:
-                adjacency[g].append(lb_node[b])
-                adjacency[lg_node[g]].append(b)
-    for b in range(n_b):
-        for g in boy_rows[b]:
+                row.append(lb_node[b])
+                list_row.append(b)
+                compatible[b].append(g)
+    # B's label of each girl: wildcards always, a listed girl only while a
+    # boy she is compatible with is emitted; -1 drops the list entry.
+    label = [-1] * n_g
+    for r, g in enumerate(wild):
+        label[g] = r
+    list_label = len(wild) - n_g
+    boys_rows: list[tuple[int, ...]] = [()] * n_b
+    for b in listed_b:
+        row = boy_rows[b]
+        for g in row:
             if not girl_rows[g]:
                 adjacency[g].append(b)
-    graph = BipartiteGraph(
-        n_g + len(listed_g), n_b + len(listed_b), tuple(tuple(row) for row in adjacency)
+        mates = compatible[b]
+        for g in mates:
+            label[g] = lg_node[g] + list_label
+        boys_rows[b] = tuple(filter(_LABELLED, map(label.__getitem__, row)))
+        for g in mates:
+            label[g] = -1
+    graph = BipartiteGraph._from_checked_rows(
+        n_g + len(listed_g), n_b + len(listed_b), tuple(map(tuple, adjacency))
     )
-    return StarGraph(instance, graph, listed_g, listed_b, lg_node, lb_node)
+    star = StarGraph(instance, graph, listed_g, listed_b, lg_node, lb_node)
+    return star, tuple(boys_rows), wild
 
 
 def _is_mismatched(star: StarGraph, pair_left: dict[int, int], u: int) -> bool:
@@ -369,29 +416,56 @@ def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
 
 
 def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:
-    """Decide the instance with a single maximum-matching run.
+    """Decide the instance by matching the star graph's two components apart.
 
-    A maximum matching of the star graph reaching the listed-member count
-    is repaired mismatch-free and read off as the pairing; a smaller one
-    proves unsolvability.  The star graph is the disjoint union of the two
-    pared one-sided graphs, so a girls' violator is read off the star
-    matching itself; only when every listed girl is covered is the boys'
-    side matched on its own (boys on the left) for its certificate.
+    The star graph is the disjoint union of component A (the listed girls'
+    cores against the wildcard boys and the boys' list nodes) and component
+    B (the wildcard girls and the girls' list nodes against the listed
+    boys' cores), and Hopcroft-Karp on it returns the union of its runs on
+    A and B.  A deficient A yields the girls' violator; a deficient B means
+    the boys' side is matched on its own (boys on the left) for its
+    certificate.  Otherwise the union reaches the listed-member count and
+    is repaired mismatch-free and read off as the pairing.
     """
-    star = build_star_graph(instance)
-    matching = max_matching(star.graph)
-    if len(matching.pairs) > star.target_size:
+    star, boys_rows, wild = _build_star(instance)
+    adj = star.graph.adjacency
+    n_g = len(instance.girls)
+    listed_g = star.listed_girls
+    a_graph = BipartiteGraph._from_checked_rows(
+        len(listed_g), star.graph.right_count, tuple(map(adj.__getitem__, listed_g))
+    )
+    a_matching = max_matching(a_graph)
+    if len(a_matching) < len(listed_g):
+        cert = deficiency_certificate(a_graph, a_matching, range(len(listed_g)))
+        return Unsolvable(_violator("girls", tuple(instance.girls[g] for g in listed_g), cert))
+    b_graph = BipartiteGraph._from_checked_rows(
+        len(wild) + len(listed_g),
+        len(instance.boys),
+        tuple(map(adj.__getitem__, wild)) + adj[n_g:],
+    )
+    b_matching = max_matching(b_graph, boys_rows)
+    if len(a_matching) + len(b_matching) > star.target_size:
         raise InvariantError("star matching exceeds the listed-member bound")
-    if len(matching.pairs) == star.target_size:
-        repaired = repair_mismatches(star, matching, repair_stats)
-        return extract_assignment(star, repaired)
-    cert = deficiency_certificate(star.graph, matching, star.listed_girls)
-    violator = _violator("girls", instance.girls, cert)
-    if violator is None:
-        violator = _match_side(instance, "boys")[1]
-    if violator is None:
-        raise InvariantError("deficient star matching but both subproblems matchable")
-    return Unsolvable(violator)
+    listed_b = star.listed_boys
+    if len(b_matching) < len(listed_b):
+        boys_graph = BipartiteGraph._from_checked_rows(
+            len(listed_b), b_graph.left_count, tuple(map(boys_rows.__getitem__, listed_b))
+        )
+        matching = max_matching(boys_graph)
+        cert = deficiency_certificate(boys_graph, matching, range(len(listed_b)))
+        violator = _violator("boys", tuple(instance.boys[b] for b in listed_b), cert)
+        if violator is None:
+            raise InvariantError("deficient star matching but both subproblems matchable")
+        return Unsolvable(violator)
+    # B's left labels back to star vertices: wildcard girls, then list nodes.
+    b_vertex = wild + list(range(n_g, n_g + len(listed_g)))
+    pairs = [(listed_g[u], v) for u, v in a_matching.pairs]
+    pairs += [(b_vertex[u], v) for u, v in b_matching.pairs]
+    pairs.sort()
+    matching = Matching(tuple(pairs))
+    del a_graph, a_matching, b_graph, b_matching, boys_rows, wild, b_vertex, pairs
+    repaired = repair_mismatches(star, matching, repair_stats)
+    return extract_assignment(star, repaired)
 
 
 def solve_via_subproblems(instance: SmpInstance) -> Assignment | Unsolvable:

@@ -118,6 +118,15 @@ class TestInstanceFormat:
         assert raw.girls == ("Åsa",) and raw.boys == ("Bjørn",)
 
 
+# Names for the solved-document oracle: quotes, backslashes, percent signs,
+# control characters and non-ASCII text, mixed with plain letters.
+NAME_CHARS = st.one_of(
+    st.sampled_from('"\\%/\n\t\x00\x1f\x7f\u2028éÅ\u00a0'),
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
 class TestResultFormat:
     def test_solved_roundtrip(self):
         doc = ResultDoc("solved", assignment=(("g1", "b2"),))
@@ -132,6 +141,21 @@ class TestResultFormat:
     def test_infeasible_roundtrip(self):
         doc = ResultDoc("infeasible", infeasible_member="g1")
         assert parse_result(serialize_result(doc)) == doc
+
+    @given(
+        st.lists(
+            st.tuples(st.text(alphabet=NAME_CHARS), st.text(alphabet=NAME_CHARS)), max_size=8
+        )
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_solved_bytes_match_indenting_encoder(self, pairs):
+        doc = {"status": "solved", "assignment": [[g, b] for g, b in pairs]}
+        expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert serialize_result(ResultDoc("solved", assignment=tuple(pairs))) == expected
+
+    def test_empty_assignment_bytes(self):
+        expected = '{\n  "status": "solved",\n  "assignment": []\n}\n'
+        assert serialize_result(ResultDoc("solved", assignment=())) == expected
 
     def test_mixed_payload_rejected(self):
         text = json.dumps({"status": "solved", "assignment": [], "infeasible_member": "x"})

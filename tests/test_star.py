@@ -39,8 +39,13 @@ from symmarriage import (
 )
 from symmarriage import star as star_module
 from symmarriage.cli import main
-from symmarriage.fileio import serialize_instance
-from symmarriage.instances import pared_index_lists
+from symmarriage.fileio import parse_instance, serialize_instance
+from symmarriage.instances import (
+    Infeasible,
+    RawInstance,
+    pared_index_lists,
+    preprocess_refusals,
+)
 
 from .conftest import random_instance, smp_instances
 from .test_acceptance import exhaustive_3x3
@@ -225,20 +230,116 @@ class TestCertificate:
         "inst, side, calls",
         [
             (SmpInstance.build(["g1", "g2"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {}), "girls", 1),
-            (SmpInstance.build(["g1"], ["b1", "b2"], {}, {"b1": ["g1"], "b2": ["g1"]}), "boys", 2),
+            (SmpInstance.build(["g1"], ["b1", "b2"], {}, {"b1": ["g1"], "b2": ["g1"]}), "boys", 3),
         ],
     )
     def test_matcher_runs(self, monkeypatch, inst, side, calls):
         graphs = []
 
-        def counting(graph):
+        def counting(graph, transpose=None):
             graphs.append(graph)
-            return max_matching(graph)
+            return max_matching(graph, transpose)
 
         monkeypatch.setattr(star_module, "max_matching", counting)
         outcome = solve(inst)
         assert isinstance(outcome, Unsolvable) and outcome.side == side
         assert len(graphs) == calls
+        # One run per component, then the boys' side with the boys on the
+        # left: the listed girls, the wildcard girls and girls' list nodes,
+        # and the listed boys.
+        wildcards = len(inst.girls) - len(inst.listed_girl_idx)
+        expected = (
+            len(inst.listed_girl_idx),
+            wildcards + len(inst.listed_girl_idx),
+            len(inst.listed_boy_idx),
+        )
+        assert tuple(g.left_count for g in graphs) == expected[:calls]
+
+
+def whole_star_solve(inst, stats):
+    """The single-run route: match the whole star graph, then repair and
+    extract, or read the certificate off the one-sided subproblems."""
+    star = build_star_graph(inst)
+    matching = max_matching(star.graph)
+    if len(matching) == star.target_size:
+        return extract_assignment(star, repair_mismatches(star, matching, stats))
+    return Unsolvable(unsolvable_violator(inst))
+
+
+@st.composite
+def refused_instances(draw):
+    """Instances after refusal preprocessing; infeasible ones are drawn again."""
+    inst = draw(smp_instances(max_girls=6, max_boys=6))
+    members = inst.girls + inst.boys
+    refusers = draw(st.lists(st.sampled_from(members), unique=True, max_size=2)) if members else []
+    raw = RawInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists, tuple(refusers))
+    prepared = preprocess_refusals(raw)
+    if isinstance(prepared, Infeasible):
+        return draw(smp_instances(max_girls=6, max_boys=6))
+    return prepared
+
+
+def bench_instance(workload, n):
+    """A benchmark family's instance at size ``n``, as the CLI would load it."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    return preprocess_refusals(parse_instance(workloads.generate(workload, 1, n).document()))
+
+
+def assert_same_as_whole_star(inst):
+    stats, whole_stats = {}, {}
+    assert solve(inst, stats) == whole_star_solve(inst, whole_stats)
+    assert stats == whole_stats
+
+
+def assert_rows_pass_public_check(inst):
+    star, boys_rows, wild = star_module._build_star(inst)
+    graph = star.graph
+    assert BipartiteGraph(graph.left_count, graph.right_count, graph.adjacency) == graph
+    # The boys' rows are component B's transpose over B's labels.
+    n_g = len(inst.girls)
+    b_rows = [graph.adjacency[g] for g in wild] + list(graph.adjacency[n_g:])
+    transpose = [[] for _ in inst.boys]
+    for label, row in enumerate(b_rows):
+        for b in row:
+            transpose[b].append(label)
+    assert [sorted(row) for row in boys_rows] == transpose
+    BipartiteGraph(len(inst.boys), len(b_rows), boys_rows)
+
+
+class TestComponentSolve:
+    @given(refused_instances())
+    @settings(deadline=None, max_examples=2000)
+    def test_same_as_whole_star(self, inst):
+        assert_same_as_whole_star(inst)
+
+    @pytest.mark.parametrize("workload", ["reciprocal-repair", "planted-unsolvable"])
+    def test_same_as_whole_star_on_bench_families(self, workload):
+        inst = bench_instance(workload, 1000)
+        assert_same_as_whole_star(inst)
+        assert_rows_pass_public_check(inst)
+
+    @given(refused_instances())
+    @settings(deadline=None, max_examples=300)
+    def test_rows_pass_public_check(self, inst):
+        assert_rows_pass_public_check(inst)
+
+    def test_no_second_paring(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("solve pared a side again")
+
+        monkeypatch.setattr(star_module, "pared_rows", unused)
+        rng = np.random.default_rng(3)
+        sides = Counter()
+        for _ in range(300):
+            inst = random_instance(rng)
+            outcome = solve(inst)
+            sides[outcome.side if isinstance(outcome, Unsolvable) else "solved"] += 1
+            assert "girl_list_sets" not in vars(inst)
+        assert min(sides.values()) >= 30
 
 
 class TestFindMismatches:
