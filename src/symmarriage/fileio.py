@@ -11,6 +11,7 @@ identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -25,6 +26,8 @@ _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
 # One [girl, boy] pair of a solved document, as json.dumps(indent=2) lays it out.
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
+# A \uD800-\uDFFF escape in JSON text.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class ParseError(ValueError):
@@ -53,10 +56,21 @@ def _reject_duplicate_keys(pairs):
 def _load_object(text: str) -> dict:
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    except ParseError:
+        raise
     except RecursionError as exc:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
+    except ValueError as exc:
+        # A syntax error, or an integer literal past the int-string limit.
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    # json.loads joins an escaped surrogate pair into one character but keeps
+    # a lone surrogate, which no UTF-8 output can hold; only a document with
+    # such an escape in its text is encoded once more to find one.
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError("invalid JSON: a string holds an unpaired surrogate escape") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     return doc

@@ -267,32 +267,21 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
     return SmpInstance(girls, boys, *tables)
 
 
-def pared_rows(instance: SmpInstance, side: str) -> tuple[tuple[int, ...], ...]:
-    """Index-level paring of one side (``"girls"`` or ``"boys"``): one row
-    per roster member, empty rows for wildcards.
+def pared_index_lists(
+    instance: SmpInstance,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Index-level paring of both sides, girls first: one row per roster
+    member, empty rows for wildcards.
 
     A listed partner stays on a list only when the two are on each other's
     lists; unlisted partners always stay.
     """
-    if side == "girls":
-        rows, other_rows, other_sets = (
-            instance.girl_lists_idx, instance.boy_lists_idx, instance.boy_list_sets
-        )
-    else:
-        rows, other_rows, other_sets = (
-            instance.boy_lists_idx, instance.girl_lists_idx, instance.girl_list_sets
-        )
-    return tuple(
-        tuple(p for p in row if not other_rows[p] or m in other_sets[p]) if row else ()
-        for m, row in enumerate(rows)
+    rows_g, sets_g = instance.girl_lists_idx, instance.girl_list_sets
+    rows_b, sets_b = instance.boy_lists_idx, instance.boy_list_sets
+    return (
+        tuple(tuple(b for b in r if not rows_b[b] or g in sets_b[b]) for g, r in enumerate(rows_g)),
+        tuple(tuple(g for g in r if not rows_g[g] or b in sets_g[g]) for b, r in enumerate(rows_b)),
     )
-
-
-def pared_index_lists(
-    instance: SmpInstance,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Both sides' :func:`pared_rows`, girls first."""
-    return pared_rows(instance, "girls"), pared_rows(instance, "boys")
 
 
 def pare_lists(

@@ -11,10 +11,11 @@ list node per listed boy on the right.  Edges:
 The listed cores form a vertex cover, so no matching exceeds
 ``#listed girls + #listed boys``; the instance is solvable exactly when a
 maximum matching reaches that size.  The graph falls into two components,
-the two pared one-sided graphs, which :func:`solve` matches apart.  Such a matching may pair a girl with
-one boy's list node while that boy's core holds a different girl's list
-node ("mismatched" edges).  Chain swaps rewire those into mutual pairs
-without losing cardinality, after which the pairing can be read off.
+the two pared one-sided graphs, which every route matches apart in one
+core.  Their union may pair a girl with one boy's list node while that
+boy's core holds a different girl's list node ("mismatched" edges).
+Chain swaps rewire those into mutual pairs without losing cardinality,
+after which the pairing can be read off.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from operator import not_
 
 from .bipartite import (
     BipartiteGraph,
-    DeficiencyCertificate,
     Matching,
     deficiency_certificate,
     max_matching,
 )
 from .hall import HallViolator
-from .instances import Assignment, InvariantError, SmpInstance, pared_rows
+from .instances import Assignment, InvariantError, SmpInstance
 
 
 @dataclass(frozen=True)
@@ -380,113 +380,94 @@ def extract_assignment(star: StarGraph, matching: Matching) -> Assignment:
     return Assignment(tuple(pairs))
 
 
-def _violator(
-    side: str, names: tuple[str, ...], cert: DeficiencyCertificate | None
-) -> HallViolator | None:
-    if cert is None:
-        return None
-    return HallViolator(side, tuple(names[u] for u in cert.subset), len(cert.neighborhood))
-
-
-def _match_side(instance: SmpInstance, side: str) -> tuple[Matching, HallViolator | None]:
-    """Match one side's pared one-sided graph, listed members on the left.
-
-    Only ``side``'s lists are pared.  Returns the maximum matching and, when
-    it leaves a listed member exposed, the violator read off it.
-    """
-    girls = side == "girls"
-    listed = instance.listed_girl_idx if girls else instance.listed_boy_idx
-    names = instance.girls if girls else instance.boys
-    rows = pared_rows(instance, side)
-    n_right = len(instance.boys) if girls else len(instance.girls)
-    graph = BipartiteGraph(len(listed), n_right, tuple(rows[m] for m in listed))
+def _match_listed(
+    graph: BipartiteGraph, side: str, names: tuple[str, ...], listed: tuple[int, ...]
+) -> tuple[Matching, HallViolator | None]:
+    """Match a graph whose left vertex ``k`` is member ``listed[k]``, plus the
+    side's violator read off the matching when it leaves one exposed."""
     matching = max_matching(graph)
-    cert = deficiency_certificate(graph, matching, range(len(listed)))
-    return matching, _violator(side, tuple(names[m] for m in listed), cert)
+    if len(matching) == graph.left_count:
+        return matching, None
+    cert = deficiency_certificate(graph, matching, range(graph.left_count))
+    members = tuple(names[listed[u]] for u in cert.subset)
+    return matching, HallViolator(side, members, len(cert.neighborhood))
 
 
-def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
-    """Certificate for an unsolvable instance, None when both one-sided
-    subproblems are matchable.
+def _components(
+    instance: SmpInstance, boys_left: bool
+) -> HallViolator | tuple[StarGraph, Matching]:
+    """The decision core: match the star graph's two components apart.
 
-    The girls' subproblem is examined first; certificates are stated over
-    pared lists.
-    """
-    return _match_side(instance, "girls")[1] or _match_side(instance, "boys")[1]
-
-
-def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:
-    """Decide the instance by matching the star graph's two components apart.
-
-    The star graph is the disjoint union of component A (the listed girls'
-    cores against the wildcard boys and the boys' list nodes) and component
-    B (the wildcard girls and the girls' list nodes against the listed
-    boys' cores), and Hopcroft-Karp on it returns the union of its runs on
-    A and B.  A deficient A yields the girls' violator; a deficient B means
-    the boys' side is matched on its own (boys on the left) for its
-    certificate.  Otherwise the union reaches the listed-member count and
-    is repaired mismatch-free and read off as the pairing.
+    Component A (listed girls' cores against wildcard boys and boys' list
+    nodes) is the girls' pared one-sided graph; a deficient A yields the
+    girls' violator.  Component B (wildcard girls and girls' list nodes
+    against listed boys' cores) is matched girls-left with the boys' rows
+    as transpose, as Hopcroft-Karp on the whole star would, or with
+    ``boys_left`` as the boys' pared one-sided graph.  A deficient B is
+    matched boys-left for the boys' violator.  Otherwise returns the star
+    and the union of both matchings over its vertices, of full size.
     """
     star, boys_rows, wild = _build_star(instance)
     adj = star.graph.adjacency
     n_g = len(instance.girls)
     listed_g = star.listed_girls
+    listed_b = star.listed_boys
     a_graph = BipartiteGraph._from_checked_rows(
         len(listed_g), star.graph.right_count, tuple(map(adj.__getitem__, listed_g))
     )
-    a_matching = max_matching(a_graph)
-    if len(a_matching) < len(listed_g):
-        cert = deficiency_certificate(a_graph, a_matching, range(len(listed_g)))
-        return Unsolvable(_violator("girls", tuple(instance.girls[g] for g in listed_g), cert))
-    b_graph = BipartiteGraph._from_checked_rows(
-        len(wild) + len(listed_g),
-        len(instance.boys),
-        tuple(map(adj.__getitem__, wild)) + adj[n_g:],
-    )
-    b_matching = max_matching(b_graph, boys_rows)
-    if len(a_matching) + len(b_matching) > star.target_size:
-        raise InvariantError("star matching exceeds the listed-member bound")
-    listed_b = star.listed_boys
-    if len(b_matching) < len(listed_b):
-        boys_graph = BipartiteGraph._from_checked_rows(
-            len(listed_b), b_graph.left_count, tuple(map(boys_rows.__getitem__, listed_b))
-        )
-        matching = max_matching(boys_graph)
-        cert = deficiency_certificate(boys_graph, matching, range(len(listed_b)))
-        violator = _violator("boys", tuple(instance.boys[b] for b in listed_b), cert)
-        if violator is None:
-            raise InvariantError("deficient star matching but both subproblems matchable")
-        return Unsolvable(violator)
+    a_matching, violator = _match_listed(a_graph, "girls", instance.girls, listed_g)
+    if violator is not None:
+        return violator
     # B's left labels back to star vertices: wildcard girls, then list nodes.
     b_vertex = wild + list(range(n_g, n_g + len(listed_g)))
+    b_pairs = None
+    if not boys_left:
+        b_graph = BipartiteGraph._from_checked_rows(
+            len(b_vertex), len(instance.boys), tuple(map(adj.__getitem__, wild)) + adj[n_g:]
+        )
+        b_matching = max_matching(b_graph, boys_rows)
+        if len(a_matching) + len(b_matching) > star.target_size:
+            raise InvariantError("star matching exceeds the listed-member bound")
+        if len(b_matching) == len(listed_b):
+            b_pairs = [(b_vertex[u], v) for u, v in b_matching.pairs]
+    if b_pairs is None:
+        boys_graph = BipartiteGraph._from_checked_rows(
+            len(listed_b), len(b_vertex), tuple(map(boys_rows.__getitem__, listed_b))
+        )
+        b_matching, violator = _match_listed(boys_graph, "boys", instance.boys, listed_b)
+        if violator is not None:
+            return violator
+        if not boys_left:
+            raise InvariantError("deficient star matching but both subproblems matchable")
+        b_pairs = [(b_vertex[u], listed_b[k]) for k, u in b_matching.pairs]
     pairs = [(listed_g[u], v) for u, v in a_matching.pairs]
-    pairs += [(b_vertex[u], v) for u, v in b_matching.pairs]
+    pairs += b_pairs
     pairs.sort()
-    matching = Matching(tuple(pairs))
-    del a_graph, a_matching, b_graph, b_matching, boys_rows, wild, b_vertex, pairs
-    repaired = repair_mismatches(star, matching, repair_stats)
-    return extract_assignment(star, repaired)
+    return star, Matching(tuple(pairs))
+
+
+def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
+    """Certificate over pared lists: the girls' violator, else the boys', or
+    None when both one-sided subproblems are matchable."""
+    outcome = _components(instance, boys_left=True)
+    return outcome if isinstance(outcome, HallViolator) else None
+
+
+def _repaired(outcome, stats: dict | None = None) -> Assignment | Unsolvable:
+    """The pairing read off a core outcome after repair, or its violator."""
+    if isinstance(outcome, HallViolator):
+        return Unsolvable(outcome)
+    star, matching = outcome
+    return extract_assignment(star, repair_mismatches(star, matching, stats))
+
+
+def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:
+    """Decide the instance by matching the star graph's two components apart,
+    then repair the union mismatch-free and read off the pairing."""
+    return _repaired(_components(instance, boys_left=False), repair_stats)
 
 
 def solve_via_subproblems(instance: SmpInstance) -> Assignment | Unsolvable:
-    """Solve the two one-sided subproblems separately, then merge and repair.
-
-    Each subproblem solution maps to star-graph edges touching disjoint
-    vertex groups, so their union is a matching of full size; repair and
-    extraction then proceed as in :func:`solve`.  This path exists to
-    exercise the decomposition equivalence; ``solve`` is the production
-    route and the two agree on solvability.
-    """
-    g_matching, violator = _match_side(instance, "girls")
-    if violator is None:
-        b_matching, violator = _match_side(instance, "boys")
-    if violator is not None:
-        return Unsolvable(violator)
-    listed_g = instance.listed_girl_idx
-    listed_b = instance.listed_boy_idx
-    star = build_star_graph(instance)
-    pairs = [(listed_g[k], star.lb_node.get(b, b)) for k, b in g_matching.pairs]
-    pairs += [(star.lg_node.get(g, g), listed_b[k]) for k, g in b_matching.pairs]
-    combined = Matching(tuple(sorted(pairs)))
-    repaired = repair_mismatches(star, combined)
-    return extract_assignment(star, repaired)
+    """As :func:`solve`, but with component B matched boys-left, as the
+    boys' one-sided subproblem.  Only the pairing may differ from ``solve``."""
+    return _repaired(_components(instance, boys_left=True))

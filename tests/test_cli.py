@@ -547,6 +547,12 @@ BAD_INPUTS = {
     "empty-list": json.dumps(
         {"version": 1, "girls": ["g1"], "boys": ["b1"], "girl_lists": {"g1": []}, "boy_lists": {}}
     ).encode(),
+    # Past the interpreter's int-string limit of 4,300 digits.
+    "huge-integer": b'{"version": ' + b"9" * 5000 + b"}",
+    # json.dumps escapes the unpaired surrogate as \ud800.
+    "lone-surrogate": json.dumps(
+        {"version": 1, "girls": ["\ud800"], "boys": ["b1"], "girl_lists": {}, "boy_lists": {}}
+    ).encode(),
 }
 
 
@@ -633,6 +639,23 @@ class TestBadInput:
             assert not out.exists()
             assert capsys.readouterr().err.startswith(f"error: cannot write '{out}': ")
             out.write_text("old result")
+
+    def test_lone_surrogate_leaves_no_output_file(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["solve", bad_input(tmp_path, "lone-surrogate"), "--output", str(out)]) == 65
+        assert capsys.readouterr().err == (
+            "error: invalid JSON: a string holds an unpaired surrogate escape\n"
+        )
+        assert not out.exists()
+
+    def test_escaped_surrogate_pair_accepted(self, tmp_path, capsys):
+        girl = "g\U0001f600"
+        doc = dict(I1_DOC, girls=[girl], boys=["b1"], girl_lists={girl: ["b1"]}, boy_lists={})
+        path = tmp_path / "pair.json"
+        path.write_bytes(json.dumps(doc).encode())
+        assert b"\\ud83d\\ude00" in path.read_bytes()
+        assert main(["solve", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["assignment"] == [[girl, "b1"]]
 
     def test_non_utf8_named_in_message(self, tmp_path, capsys):
         path = bad_input(tmp_path, "non-utf8")

@@ -26,6 +26,7 @@ from symmarriage import (
     assignment_violations,
     build_star_graph,
     cmp_to_smp,
+    deficiency_certificate,
     extract_assignment,
     find_mismatches,
     gen_tournament,
@@ -255,6 +256,29 @@ class TestCertificate:
         )
         assert tuple(g.left_count for g in graphs) == expected[:calls]
 
+    @pytest.mark.parametrize(
+        "inst, side",
+        [
+            (SmpInstance.build(["g1", "g2"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {}), "girls"),
+            (SmpInstance.build(["g1"], ["b1", "b2"], {}, {"b1": ["g1"], "b2": ["g1"]}), "boys"),
+            (SmpInstance.build(["g1", "g2"], ["b1", "b2"], {"g1": ["b1", "b2"]}, {"b1": ["g2"]}), None),
+        ],
+    )
+    def test_subproblems_matcher_runs(self, monkeypatch, inst, side):
+        graphs = []
+
+        def counting(graph, transpose=None):
+            graphs.append(graph)
+            return max_matching(graph, transpose)
+
+        monkeypatch.setattr(star_module, "max_matching", counting)
+        outcome = solve_via_subproblems(inst)
+        assert (outcome.side if isinstance(outcome, Unsolvable) else None) == side
+        # The listed girls, then, unless they are deficient, the listed boys.
+        expected = (len(inst.listed_girl_idx), len(inst.listed_boy_idx))
+        calls = 1 if side == "girls" else 2
+        assert tuple(g.left_count for g in graphs) == expected[:calls]
+
 
 def whole_star_solve(inst, stats):
     """The single-run route: match the whole star graph, then repair and
@@ -310,6 +334,47 @@ def assert_rows_pass_public_check(inst):
     BipartiteGraph(len(inst.boys), len(b_rows), boys_rows)
 
 
+def reference_match_side(inst, side):
+    """One side's pared one-sided graph matched on its own, listed members on
+    the left: the rows come from ``pared_index_lists`` and pass the public
+    ``BipartiteGraph`` constructor.  Returns the matching and, when it
+    leaves a listed member exposed, the violator read off it."""
+    pared_g, pared_b = pared_index_lists(inst)
+    if side == "girls":
+        listed, names, rows, n_right = inst.listed_girl_idx, inst.girls, pared_g, len(inst.boys)
+    else:
+        listed, names, rows, n_right = inst.listed_boy_idx, inst.boys, pared_b, len(inst.girls)
+    graph = BipartiteGraph(len(listed), n_right, tuple(rows[m] for m in listed))
+    matching = max_matching(graph)
+    cert = deficiency_certificate(graph, matching, range(len(listed)))
+    if cert is None:
+        return matching, None
+    members = tuple(names[listed[u]] for u in cert.subset)
+    return matching, HallViolator(side, members, len(cert.neighborhood))
+
+
+def assert_core_matches_reference_sides(inst):
+    """The certificate and the subproblems route's merged matching equal
+    those of the two one-sided graphs matched apart."""
+    girls, girls_violator = reference_match_side(inst, "girls")
+    boys, boys_violator = reference_match_side(inst, "boys")
+    violator = girls_violator or boys_violator
+    assert unsolvable_violator(inst) == violator
+    outcome = star_module._components(inst, boys_left=True)
+    if violator is not None:
+        assert outcome == violator
+        assert solve_via_subproblems(inst) == Unsolvable(violator)
+        return
+    star = build_star_graph(inst)
+    listed_g, listed_b = inst.listed_girl_idx, inst.listed_boy_idx
+    pairs = [(listed_g[k], star.lb_node.get(b, b)) for k, b in girls.pairs]
+    pairs += [(star.lg_node.get(g, g), listed_b[k]) for k, g in boys.pairs]
+    merged = Matching(tuple(sorted(pairs)))
+    assert outcome[1] == merged
+    expected = extract_assignment(star, repair_mismatches(star, merged))
+    assert solve_via_subproblems(inst) == expected
+
+
 class TestComponentSolve:
     @given(refused_instances())
     @settings(deadline=None, max_examples=2000)
@@ -327,19 +392,29 @@ class TestComponentSolve:
     def test_rows_pass_public_check(self, inst):
         assert_rows_pass_public_check(inst)
 
-    def test_no_second_paring(self, monkeypatch):
-        def unused(*args):
-            raise AssertionError("solve pared a side again")
+    def test_no_second_paring(self):
+        # Every route reads the boys' pared rows off the one star build.
+        assert not hasattr(star_module, "pared_rows")
+        for route in (solve, solve_via_subproblems, unsolvable_violator):
+            rng = np.random.default_rng(3)
+            sides = Counter()
+            for _ in range(300):
+                inst = random_instance(rng)
+                outcome = route(inst)
+                if isinstance(outcome, Unsolvable):
+                    outcome = outcome.violator
+                sides[outcome.side if isinstance(outcome, HallViolator) else "solved"] += 1
+                assert "girl_list_sets" not in vars(inst)
+            assert min(sides.values()) >= 30
 
-        monkeypatch.setattr(star_module, "pared_rows", unused)
-        rng = np.random.default_rng(3)
-        sides = Counter()
-        for _ in range(300):
-            inst = random_instance(rng)
-            outcome = solve(inst)
-            sides[outcome.side if isinstance(outcome, Unsolvable) else "solved"] += 1
-            assert "girl_list_sets" not in vars(inst)
-        assert min(sides.values()) >= 30
+    @given(refused_instances())
+    @settings(deadline=None, max_examples=600)
+    def test_same_as_reference_sides(self, inst):
+        assert_core_matches_reference_sides(inst)
+
+    @pytest.mark.parametrize("workload", ["reciprocal-repair", "planted-unsolvable"])
+    def test_same_as_reference_sides_on_bench_families(self, workload):
+        assert_core_matches_reference_sides(bench_instance(workload, 1000))
 
 
 class TestFindMismatches:
