@@ -143,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except SizeLimitError as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
+        return EXIT_SIZE_LIMIT
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -208,11 +211,7 @@ def _cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     instance = prepared
     if args.method == "weight":
-        try:
-            assignment = weighted_assignment(instance)
-        except SizeLimitError as exc:
-            print(f"size limit: {exc}", file=sys.stderr)
-            return EXIT_SIZE_LIMIT
+        assignment = weighted_assignment(instance)
         if assignment is not None:
             doc = ResultDoc("solved", assignment=assignment.pairs)
         else:
@@ -236,11 +235,7 @@ def _cmd_check(args) -> int:
     if isinstance(prepared, Infeasible):
         print(f"infeasible: refusals empty the list of '{prepared.member}'")
         return EXIT_INFEASIBLE
-    try:
-        violator = hall_bicriteria(prepared)
-    except SizeLimitError as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
+    violator = hall_bicriteria(prepared)
     if violator is None:
         print("ok")
         return EXIT_OK

@@ -20,7 +20,6 @@ after which the pairing can be read off.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -231,7 +230,7 @@ def _apply_chain(
     start_x: int,
     start_y: int,
     girl_start: bool,
-) -> set[int]:
+) -> None:
     """Chase one alternating chain of list-node partners and swap it mutual.
 
     ``start_x`` is the core member currently matched to ``start_y``'s list
@@ -241,9 +240,10 @@ def _apply_chain(
     Walking partner-of-list-node pointers ends in a free list node on the
     start side, a cycle back to ``start_y``, or a free list node on the far
     side.  Each ending admits a swap that pairs every chain member mutually
-    with its chain partner, strictly reducing the mismatch count while
-    keeping the matching size and the covered cores unchanged.  Returns the
-    left vertices whose matched edge the swap changed.
+    with its chain partner, and with them their twins, while keeping the
+    matching size and the covered cores unchanged.  The one vertex outside
+    the chain that loses its edge (``ys[0]``'s old mate, or ``ys[0]``'s list
+    node) keeps its status, so the swap creates no mismatch.
     """
     if girl_start:
         node_x, node_y, mate_x, mate_y = star.lg_node, star.lb_node, pair_left, pair_right
@@ -282,7 +282,6 @@ def _apply_chain(
             raise InvariantError(f"chain swap cannot add edge ({u}, {v})")
         pair_left[u] = v
         pair_right[v] = u
-    return {u for u, _ in removed} | {u for u, _ in added}
 
 
 def repair_mismatches(
@@ -291,65 +290,39 @@ def repair_mismatches(
     """Rewire matched list-node edges until every one has its mutual partner.
 
     Requires a maximum matching of size ``star.target_size`` (which then
-    necessarily covers every listed core).  Each pass repairs the chain of
-    the smallest mismatched edge, ordered by left vertex, and strictly
-    decreases the mismatch count, so at most the initial count of passes
-    run.  A min-heap worklist holds the left vertices whose matched edge is
-    mismatched; it is seeded by one scan and re-checked lazily when popped.
-    An edge's status depends only on ``pair_left`` at its left vertex and
-    that vertex's twin (``g`` and ``L_g``), so after a swap only the
-    vertices it rewired and their twins are re-checked.  Repair thus takes
-    O((|M| + total chain length) log |M|) time.  When ``stats`` is given,
-    ``initial_mismatches`` and ``iterations`` are recorded in it.
+    necessarily covers every listed core).  No chain swap creates a
+    mismatch (see :func:`_apply_chain`), so one ascending pass over the
+    initially mismatched edges repairs the chain of the smallest mismatched
+    edge each time, skipping a start an earlier chain already made mutual.
+    Repair takes O(|M| + total chain length) time.  When ``stats`` is
+    given, ``initial_mismatches`` and ``iterations`` are recorded in it.
     """
     _check_repairable(star, matching)
     pair_left = dict(matching.pairs)
     pair_right = {v: u for u, v in matching.pairs}
     n_g = len(star.instance.girls)
     n_b = len(star.instance.boys)
-    worklist = [u for u, _ in _mismatched_edges(star, pair_left)]
-    # One status byte per left vertex: a set would keep its peak-sized
-    # table after draining.
-    mismatched = bytearray(star.graph.left_count)
-    for u in worklist:
-        mismatched[u] = True
-    initial = count = len(worklist)
+    seeds = [u for u, _ in _mismatched_edges(star, pair_left)]
     iterations = 0
-    while worklist:
-        u = heapq.heappop(worklist)
-        if not mismatched[u]:
+    for u in seeds:
+        if not _is_mismatched(star, pair_left, u):
             continue
         iterations += 1
-        before = count
-        mismatched[u] = False
-        count -= 1
         v = pair_left[u]
         if u < n_g:
-            start = (u, star.listed_boys[v - n_b], True)
+            _apply_chain(star, pair_left, pair_right, u, star.listed_boys[v - n_b], True)
         else:
-            start = (v, star.listed_girls[u - n_g], False)
-        changed = _apply_chain(star, pair_left, pair_right, *start)
-        # ``u`` is re-checked even if the swap reports no change, so a chain
-        # that leaves its start mismatched fails the count check below.
-        recheck = {u}
-        for w in changed:
-            recheck.add(w)
-            twin = star.lg_node.get(w) if w < n_g else star.listed_girls[w - n_g]
-            if twin is not None:
-                recheck.add(twin)
-        for w in recheck:
-            now = _is_mismatched(star, pair_left, w)
-            if now and not mismatched[w]:
-                heapq.heappush(worklist, w)
-            count += now - mismatched[w]
-            mismatched[w] = now
-        if count >= before:
+            _apply_chain(star, pair_left, pair_right, v, star.listed_girls[u - n_g], False)
+        if _is_mismatched(star, pair_left, u):
             raise InvariantError("chain swap did not reduce the mismatch count")
     if len(pair_left) != len(matching.pairs):
         raise InvariantError("repair changed the matching size")
     if stats is not None:
-        stats["initial_mismatches"] = initial
+        stats["initial_mismatches"] = len(seeds)
         stats["iterations"] = iterations
+    # A repaired solve's memory peaks while the result's pairs are built;
+    # free the pass's own tables first.
+    del seeds, pair_right
     return Matching(tuple(sorted(pair_left.items())))
 
 

@@ -293,7 +293,7 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "violator" in out and "union_size=1" in out
 
-    def test_size_guard(self, tmp_path):
+    def test_size_guard(self, tmp_path, capsys):
         girls = [f"g{i}" for i in range(25)]
         path = write_doc(
             tmp_path,
@@ -307,6 +307,9 @@ class TestCheckCommand:
             },
         )
         assert main(["check", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "size limit: 25 listed girls / 0 listed boys (limit 20)\n"
 
 
 class TestGenCommand:

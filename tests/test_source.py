@@ -10,6 +10,10 @@ import symmarriage
 MODULES = sorted(Path(symmarriage.__file__).parent.glob("*.py"))
 
 
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"__init__.py", "star.py", "cli.py"}
 
@@ -18,6 +22,62 @@ def test_modules_found():
 def test_no_assert_statements(path):
     # ``python -O`` strips assert statements, so a check guarding an answer
     # must raise InvariantError (or another exception) explicitly instead.
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def _loaded_names(tree):
+    """Every name the tree reads, as a bare name or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    unused = imported - _loaded_names(tree) - _exported(tree)
+    assert not unused, f"{path.name} never uses {sorted(unused)}"
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_no_unreferenced_private_definitions():
+    # A private module-level name is reachable only from the package, so one
+    # that no module reads is dead code.
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set().union(*map(_loaded_names, trees.values()))
+    dead = [
+        f"{name}:{defined}"
+        for name, tree in trees.items()
+        for defined in _private_definitions(tree)
+        if defined.startswith("_") and not defined.startswith("__")
+        and defined not in referenced
+    ]
+    assert dead == [], f"private definitions no module reads: {dead}"
