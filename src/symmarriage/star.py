@@ -123,31 +123,46 @@ def _build_star(
     graph of the boys' one-sided subproblem.  Also returns ``wild``, the
     wildcard girls ascending.  Every row is built from the instance's
     checked indices.
+
+    List compatibility comes from one pass over the listed boys' rows,
+    which finds, for each girl, the listed boys who list her, ascending;
+    no set of any whole list is kept.
     """
     n_g = len(instance.girls)
     n_b = len(instance.boys)
     girl_rows = instance.girl_lists_idx
     boy_rows = instance.boy_lists_idx
-    boy_sets = instance.boy_list_sets
     listed_g = instance.listed_girl_idx
     listed_b = instance.listed_boy_idx
     lg_node = {g: n_g + k for k, g in enumerate(listed_g)}
     lb_node = {b: n_b + k for k, b in enumerate(listed_b)}
     wild = list(compress(range(n_g), map(not_, girl_rows)))
-    adjacency: list[list[int]] = [[] for _ in range(n_g + len(listed_g))]
+    # Rows 0..n_g-1 first hold the listed boys who list each girl; each is
+    # then replaced in place by the girl's star row, as a tuple.
+    adjacency: list = [[] for _ in range(n_g)]
+    for b in listed_b:
+        for g in boy_rows[b]:
+            adjacency[g].append(b)
+    adjacency += [()] * len(listed_g)
+    # A wildcard girl's star row is exactly the listed boys who list her.
+    for g in wild:
+        adjacency[g] = tuple(adjacency[g])
     # The listed girls each boy is list compatible with, found by the girls
     # loop, so that the boys loop needs no set of any girl's list.
     compatible: list[list[int]] = [[] for _ in range(n_b)]
     for g in listed_g:
-        row = adjacency[g]
-        list_row = adjacency[lg_node[g]]
+        listing = set(adjacency[g])
+        row = []
+        list_row = []
         for b in girl_rows[g]:
             if not boy_rows[b]:
                 row.append(b)
-            elif g in boy_sets[b]:
+            elif b in listing:
                 row.append(lb_node[b])
                 list_row.append(b)
                 compatible[b].append(g)
+        adjacency[g] = tuple(row)
+        adjacency[lg_node[g]] = tuple(list_row)
     # B's label of each girl: wildcards always, a listed girl only while a
     # boy she is compatible with is emitted; -1 drops the list entry.
     label = [-1] * n_g
@@ -156,18 +171,14 @@ def _build_star(
     list_label = len(wild) - n_g
     boys_rows: list[tuple[int, ...]] = [()] * n_b
     for b in listed_b:
-        row = boy_rows[b]
-        for g in row:
-            if not girl_rows[g]:
-                adjacency[g].append(b)
         mates = compatible[b]
         for g in mates:
             label[g] = lg_node[g] + list_label
-        boys_rows[b] = tuple(filter(_LABELLED, map(label.__getitem__, row)))
+        boys_rows[b] = tuple(filter(_LABELLED, map(label.__getitem__, boy_rows[b])))
         for g in mates:
             label[g] = -1
     graph = BipartiteGraph._from_checked_rows(
-        n_g + len(listed_g), n_b + len(listed_b), tuple(map(tuple, adjacency))
+        n_g + len(listed_g), n_b + len(listed_b), tuple(adjacency)
     )
     star = StarGraph(instance, graph, listed_g, listed_b, lg_node, lb_node)
     return star, tuple(boys_rows), wild
@@ -243,7 +254,9 @@ def _apply_chain(
     with its chain partner, and with them their twins, while keeping the
     matching size and the covered cores unchanged.  The one vertex outside
     the chain that loses its edge (``ys[0]``'s old mate, or ``ys[0]``'s list
-    node) keeps its status, so the swap creates no mismatch.
+    node) keeps its status, so the swap creates no mismatch.  A chain holds
+    each listed X member at most once, so a walk that outgrows them came
+    from a bad start and raises ``InvariantError``.
     """
     if girl_start:
         node_x, node_y, mate_x, mate_y = star.lg_node, star.lb_node, pair_left, pair_right
@@ -269,6 +282,8 @@ def _apply_chain(
             added = [(x, node_y[y]) for x, y in zip(xs, ys[1:])]
             break
         xs.append(nxt_x)
+        if len(xs) > len(node_x):
+            raise InvariantError("chain walk outgrew the listed members of its start side")
     if not girl_start:
         removed = [(y, x) for x, y in removed]
         added = [(y, x) for x, y in added]

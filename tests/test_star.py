@@ -313,6 +313,53 @@ def bench_instance(workload, n):
     return preprocess_refusals(parse_instance(workloads.generate(workload, 1, n).document()))
 
 
+def reference_build_star(inst):
+    """The star build that tests list compatibility against a set of every
+    listed boy's list and copies its list rows to tuples at the end, kept as
+    the oracle for the build from one pass over the boys' lists."""
+    n_g = len(inst.girls)
+    n_b = len(inst.boys)
+    girl_rows = inst.girl_lists_idx
+    boy_rows = inst.boy_lists_idx
+    boy_sets = tuple(map(frozenset, boy_rows))
+    listed_g = inst.listed_girl_idx
+    listed_b = inst.listed_boy_idx
+    lg_node = {g: n_g + k for k, g in enumerate(listed_g)}
+    lb_node = {b: n_b + k for k, b in enumerate(listed_b)}
+    wild = [g for g in range(n_g) if not girl_rows[g]]
+    adjacency = [[] for _ in range(n_g + len(listed_g))]
+    compatible = [[] for _ in range(n_b)]
+    for g in listed_g:
+        for b in girl_rows[g]:
+            if not boy_rows[b]:
+                adjacency[g].append(b)
+            elif g in boy_sets[b]:
+                adjacency[g].append(lb_node[b])
+                adjacency[lg_node[g]].append(b)
+                compatible[b].append(g)
+    label = [-1] * n_g
+    for r, g in enumerate(wild):
+        label[g] = r
+    boys_rows = [()] * n_b
+    for b in listed_b:
+        for g in boy_rows[b]:
+            if not girl_rows[g]:
+                adjacency[g].append(b)
+        for g in compatible[b]:
+            label[g] = len(wild) + lg_node[g] - n_g
+        boys_rows[b] = tuple(label[g] for g in boy_rows[b] if label[g] != -1)
+        for g in compatible[b]:
+            label[g] = -1
+    adjacency = tuple(map(tuple, adjacency))
+    return adjacency, lg_node, lb_node, tuple(boys_rows), wild
+
+
+def assert_build_matches_reference(inst):
+    star, boys_rows, wild = star_module._build_star(inst)
+    got = (star.graph.adjacency, star.lg_node, star.lb_node, boys_rows, wild)
+    assert got == reference_build_star(inst)
+
+
 def assert_same_as_whole_star(inst):
     stats, whole_stats = {}, {}
     assert solve(inst, stats) == whole_star_solve(inst, whole_stats)
@@ -392,8 +439,18 @@ class TestComponentSolve:
     def test_rows_pass_public_check(self, inst):
         assert_rows_pass_public_check(inst)
 
+    @given(refused_instances())
+    @settings(deadline=None, max_examples=600)
+    def test_build_matches_reference(self, inst):
+        assert_build_matches_reference(inst)
+
+    @pytest.mark.parametrize("workload", ["reciprocal-repair", "planted-unsolvable"])
+    def test_build_matches_reference_on_bench_families(self, workload):
+        assert_build_matches_reference(bench_instance(workload, 1000))
+
     def test_no_second_paring(self):
-        # Every route reads the boys' pared rows off the one star build.
+        # Every route reads the boys' pared rows off the one star build,
+        # which keeps no set of any list.
         assert not hasattr(star_module, "pared_rows")
         for route in (solve, solve_via_subproblems, unsolvable_violator):
             rng = np.random.default_rng(3)
@@ -405,6 +462,7 @@ class TestComponentSolve:
                     outcome = outcome.violator
                 sides[outcome.side if isinstance(outcome, HallViolator) else "solved"] += 1
                 assert "girl_list_sets" not in vars(inst)
+                assert "boy_list_sets" not in vars(inst)
             assert len(sides) == 3 and min(sides.values()) >= 30
 
     @given(refused_instances())
@@ -739,8 +797,8 @@ OPTIMIZED_REPAIR_SCRIPT = textwrap.dedent(
     from symmarriage.instances import preprocess_refusals
 
     assert False, "unreachable when assert statements are stripped"
-    # A chain swap that rewires nothing and reports no vertex changed.
-    star._apply_chain = lambda *args: set()
+    # A chain swap that rewires nothing.
+    star._apply_chain = lambda *args: None
     with open(sys.argv[1], encoding="utf-8") as handle:
         inst = preprocess_refusals(parse_instance(handle.read()))
     graph = build_star_graph(inst)
@@ -772,6 +830,46 @@ class TestRepairInvariants:
         assert result.stderr == (
             "internal error: chain swap did not reduce the mismatch count\n"
         )
+
+
+# Girls g1, g2 and boys b1, b2 all list each other, matched mutually
+# g1-b1 and g2-b2.  A chain started from g1 as if she held b2's list node
+# walks L_g1 -> b1 -> L_b1 -> g1 and round again, never back to b2.
+UNCLOSED_CHAIN_SCRIPT = textwrap.dedent(
+    """
+    import resource
+    from symmarriage import InvariantError, SmpInstance, build_star_graph, star
+
+    # A walk with no bound fails on memory instead of exhausting the host.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    lists = {"g1": ["b1", "b2"], "g2": ["b1", "b2"]}
+    boy_lists = {"b1": ["g1", "g2"], "b2": ["g1", "g2"]}
+    graph = build_star_graph(SmpInstance.build(["g1", "g2"], ["b1", "b2"], lists, boy_lists))
+    pairs = [(0, 2), (2, 0), (1, 3), (3, 1)]
+    pair_left = dict(pairs)
+    pair_right = {v: u for u, v in pairs}
+    try:
+        star._apply_chain(graph, pair_left, pair_right, 0, 1, True)
+        print("returned")
+    except InvariantError as exc:
+        print(exc)
+    """
+)
+
+
+class TestChainWalkBound:
+    def test_unclosed_walk_raises(self):
+        src = str(Path(symmarriage.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", UNCLOSED_CHAIN_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert result.stdout == (
+            "chain walk outgrew the listed members of its start side\n"
+        ), result.stderr
 
 
 class TestExtractAssignment:
