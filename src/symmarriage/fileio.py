@@ -24,7 +24,6 @@ INSTANCE_VERSION = 1
 _INSTANCE_KEYS = ("version", "girls", "boys", "girl_lists", "boy_lists", "refusers")
 _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
-_LIST = {list}
 # One [girl, boy] pair of a solved document, as json.dumps(indent=2) lays it out.
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 # A \uD800-\uDFFF escape in JSON text.
@@ -87,16 +86,6 @@ def _string_array(value, where: str) -> tuple[str, ...]:
 def _list_table(value, field: str, owner: str) -> dict[str, tuple[str, ...]]:
     if not isinstance(value, dict):
         raise ParseError(f"'{field}' must be an object")
-    # Whole-table checks at C level: every row a list, none empty, every
-    # entry a string.  Only when one fails does the per-row loop below run,
-    # so the message and the row it names are those of the loop alone.
-    rows = value.values()
-    if (
-        set(map(type, rows)) <= _LIST
-        and all(rows)
-        and set(map(type, chain.from_iterable(rows))) <= _STR
-    ):
-        return dict(zip(value, map(tuple, rows)))
     table: dict[str, tuple[str, ...]] = {}
     for key, entries in value.items():
         row = _string_array(entries, f"{field}.{key}")
