@@ -10,11 +10,12 @@ is released.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .instances import CmpInstance, SmpInstance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOURNAMENT_STREAM = 0
 _ROOKS_STREAM = 1
@@ -29,6 +30,9 @@ class RetryExhaustedError(Exception):
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    # Imported on first use, so the commands that generate nothing skip it.
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 

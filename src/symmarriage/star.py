@@ -21,7 +21,6 @@ after which the pairing can be read off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from operator import not_
 
@@ -54,17 +53,6 @@ class StarGraph:
     def target_size(self) -> int:
         """Matching size that decides solvability (# listed members)."""
         return len(self.listed_girls) + len(self.listed_boys)
-
-    @cached_property
-    def _row_sets(self) -> dict[int, frozenset[int]]:
-        return {}
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``(u, v)`` is an edge; a row's set is built on first use."""
-        row = self._row_sets.get(u)
-        if row is None:
-            row = self._row_sets[u] = frozenset(self.graph.adjacency[u])
-        return v in row
 
 
 @dataclass(frozen=True)
@@ -219,21 +207,6 @@ def find_mismatches(star: StarGraph, matching: Matching) -> MismatchReport:
     return MismatchReport(tuple(entries))
 
 
-def _check_repairable(star: StarGraph, matching: Matching) -> None:
-    if len(matching.pairs) != star.target_size:
-        raise ValueError(
-            f"matching has size {len(matching.pairs)}, repair requires {star.target_size}"
-        )
-    # A matching touches each left vertex once, so scanning the rows is
-    # linear in the edges.  Every star edge touches exactly one listed core
-    # (a direct edge its listed end, (g, L_b) girl g, (L_g, b) boy b), so
-    # target_size matched edges cover every listed core.
-    adj = star.graph.adjacency
-    for u, v in matching.pairs:
-        if v not in adj[u]:
-            raise ValueError(f"({u}, {v}) is not an edge of the star graph")
-
-
 def _apply_chain(
     star: StarGraph,
     pair_left: dict[int, int],
@@ -254,9 +227,12 @@ def _apply_chain(
     with its chain partner, and with them their twins, while keeping the
     matching size and the covered cores unchanged.  The one vertex outside
     the chain that loses its edge (``ys[0]``'s old mate, or ``ys[0]``'s list
-    node) keeps its status, so the swap creates no mismatch.  A chain holds
-    each listed X member at most once, so a walk that outgrows them came
-    from a bad start and raises ``InvariantError``.
+    node) keeps its status, so the swap creates no mismatch.  A vertex that
+    gains an edge is mutual from then on, so each adjacency row gains an
+    edge at most once in a repair pass and testing added edges against the
+    rows stays linear.  A chain holds each listed X member at most once, so
+    a walk that outgrows them came from a bad start and raises
+    ``InvariantError``.
     """
     if girl_start:
         node_x, node_y, mate_x, mate_y = star.lg_node, star.lb_node, pair_left, pair_right
@@ -292,29 +268,26 @@ def _apply_chain(
             raise InvariantError(f"chain swap removes unmatched edge ({u}, {v})")
         del pair_left[u]
         del pair_right[v]
+    adj = star.graph.adjacency
     for u, v in added:
-        if not star.has_edge(u, v) or u in pair_left or v in pair_right:
+        if v not in adj[u] or u in pair_left or v in pair_right:
             raise InvariantError(f"chain swap cannot add edge ({u}, {v})")
         pair_left[u] = v
         pair_right[v] = u
 
 
-def repair_mismatches(
-    star: StarGraph, matching: Matching, stats: dict | None = None
-) -> Matching:
-    """Rewire matched list-node edges until every one has its mutual partner.
+def _repair(star: StarGraph, pair_left: dict[int, int], stats: dict | None) -> None:
+    """Rewire ``pair_left``, a full-size star matching, in place until every
+    matched list-node edge has its mutual partner.
 
-    Requires a maximum matching of size ``star.target_size`` (which then
-    necessarily covers every listed core).  No chain swap creates a
-    mismatch (see :func:`_apply_chain`), so one ascending pass over the
-    initially mismatched edges repairs the chain of the smallest mismatched
-    edge each time, skipping a start an earlier chain already made mutual.
-    Repair takes O(|M| + total chain length) time.  When ``stats`` is
-    given, ``initial_mismatches`` and ``iterations`` are recorded in it.
+    No chain swap creates a mismatch (see :func:`_apply_chain`), so one
+    ascending pass over the initially mismatched edges repairs the chain of
+    the smallest mismatched edge each time, skipping a start an earlier
+    chain already made mutual: O(|M| + total chain length) time.  Records
+    ``initial_mismatches`` and ``iterations`` in ``stats`` when given.
     """
-    _check_repairable(star, matching)
-    pair_left = dict(matching.pairs)
-    pair_right = {v: u for u, v in matching.pairs}
+    size = len(pair_left)
+    pair_right = {v: u for u, v in pair_left.items()}
     n_g = len(star.instance.girls)
     n_b = len(star.instance.boys)
     seeds = [u for u, _ in _mismatched_edges(star, pair_left)]
@@ -330,42 +303,62 @@ def repair_mismatches(
             _apply_chain(star, pair_left, pair_right, v, star.listed_girls[u - n_g], False)
         if _is_mismatched(star, pair_left, u):
             raise InvariantError("chain swap did not reduce the mismatch count")
-    if len(pair_left) != len(matching.pairs):
+    if len(pair_left) != size:
         raise InvariantError("repair changed the matching size")
     if stats is not None:
         stats["initial_mismatches"] = len(seeds)
         stats["iterations"] = iterations
-    # A repaired solve's memory peaks while the result's pairs are built;
-    # free the pass's own tables first.
-    del seeds, pair_right
+
+
+def _assignment(star: StarGraph, pair_left: dict[int, int]) -> Assignment:
+    """The pairing of a mismatch-free matching: a girl is paired with a boy
+    when they are matched directly or when she holds his list node
+    (mutuality then guarantees he holds hers)."""
+    girls, boys = star.instance.girls, star.instance.boys
+    n_b = len(boys)
+    listed_b = star.listed_boys
+    pairs = (
+        (girls[g], boys[v if v < n_b else listed_b[v - n_b]])
+        for g in range(len(girls))
+        if (v := pair_left.get(g)) is not None
+    )
+    return Assignment(tuple(pairs))
+
+
+def repair_mismatches(
+    star: StarGraph, matching: Matching, stats: dict | None = None
+) -> Matching:
+    """Rewire matched list-node edges until every one has its mutual partner.
+
+    Requires a maximum matching of size ``star.target_size`` (which then
+    necessarily covers every listed core); see :func:`_repair`.
+    """
+    if len(matching.pairs) != star.target_size:
+        raise ValueError(
+            f"matching has size {len(matching.pairs)}, repair requires {star.target_size}"
+        )
+    # A matching touches each left vertex once, so scanning the rows is
+    # linear in the edges.  Every star edge touches exactly one listed core
+    # (a direct edge its listed end, (g, L_b) girl g, (L_g, b) boy b), so
+    # target_size matched edges cover every listed core.
+    adj = star.graph.adjacency
+    for u, v in matching.pairs:
+        if v not in adj[u]:
+            raise ValueError(f"({u}, {v}) is not an edge of the star graph")
+    pair_left = dict(matching.pairs)
+    _repair(star, pair_left, stats)
     return Matching(tuple(sorted(pair_left.items())))
 
 
 def extract_assignment(star: StarGraph, matching: Matching) -> Assignment:
-    """Read the pairing off a mismatch-free matching of full size.
-
-    A girl is paired with a boy when they are matched directly or when she
-    holds his list node (mutuality then guarantees he holds hers).
-    """
+    """Read the pairing off a mismatch-free matching of full size."""
     if len(matching.pairs) != star.target_size:
         raise ValueError(
             f"matching has size {len(matching.pairs)}, expected {star.target_size}"
         )
-    pair_left = matching.left_map
-    if _mismatched_edges(star, pair_left):
+    if _mismatched_edges(star, matching.left_map):
         raise ValueError("matching still has mismatched edges")
-    girls, boys = star.instance.girls, star.instance.boys
-    n_b = len(boys)
-    pairs = []
-    for g in range(len(girls)):
-        v = pair_left.get(g)
-        if v is None:
-            continue
-        if v < n_b:
-            pairs.append((girls[g], boys[v]))
-        else:
-            pairs.append((girls[g], boys[star.listed_boys[v - n_b]]))
-    return Assignment(tuple(pairs))
+    return _assignment(star, matching.left_map)
 
 
 def _match_listed(
@@ -383,7 +376,7 @@ def _match_listed(
 
 def _components(
     instance: SmpInstance, boys_left: bool
-) -> HallViolator | tuple[StarGraph, Matching]:
+) -> HallViolator | tuple[StarGraph, dict[int, int]]:
     """The decision core: match the star graph's two components apart.
 
     Component A (listed girls' cores against wildcard boys and boys' list
@@ -393,7 +386,8 @@ def _components(
     as transpose, as Hopcroft-Karp on the whole star would, or with
     ``boys_left`` as the boys' pared one-sided graph.  A deficient B is
     matched boys-left for the boys' violator.  Otherwise returns the star
-    and the union of both matchings over its vertices, of full size.
+    and the union of both matchings over its vertices, of full size, as a
+    map from left to right vertex.
     """
     star, boys_rows, wild = _build_star(instance)
     adj = star.graph.adjacency
@@ -417,7 +411,7 @@ def _components(
         if len(a_matching) + len(b_matching) > star.target_size:
             raise InvariantError("star matching exceeds the listed-member bound")
         if len(b_matching) == len(listed_b):
-            b_pairs = [(b_vertex[u], v) for u, v in b_matching.pairs]
+            b_pairs = ((b_vertex[u], v) for u, v in b_matching.pairs)
     if b_pairs is None:
         boys_graph = BipartiteGraph._from_checked_rows(
             len(listed_b), len(b_vertex), tuple(map(boys_rows.__getitem__, listed_b))
@@ -427,11 +421,10 @@ def _components(
             return violator
         if not boys_left:
             raise InvariantError("deficient star matching but both subproblems matchable")
-        b_pairs = [(b_vertex[u], listed_b[k]) for k, u in b_matching.pairs]
-    pairs = [(listed_g[u], v) for u, v in a_matching.pairs]
-    pairs += b_pairs
-    pairs.sort()
-    return star, Matching(tuple(pairs))
+        b_pairs = ((b_vertex[u], listed_b[k]) for k, u in b_matching.pairs)
+    pair_left = {listed_g[u]: v for u, v in a_matching.pairs}
+    pair_left.update(b_pairs)
+    return star, pair_left
 
 
 def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
@@ -445,8 +438,9 @@ def _repaired(outcome, stats: dict | None = None) -> Assignment | Unsolvable:
     """The pairing read off a core outcome after repair, or its violator."""
     if isinstance(outcome, HallViolator):
         return Unsolvable(outcome)
-    star, matching = outcome
-    return extract_assignment(star, repair_mismatches(star, matching, stats))
+    star, pair_left = outcome
+    _repair(star, pair_left, stats)
+    return _assignment(star, pair_left)
 
 
 def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -800,6 +801,48 @@ class TestModuleEntry:
             timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (code, expected, b"")
+
+
+COLD_START_SCRIPT = textwrap.dedent(
+    """
+    import contextlib
+    import io
+    import sys
+
+    import symmarriage.cli
+
+    instance, result, generated = sys.argv[1:]
+    seen = ["numpy" in sys.modules]
+    for argv in (
+        ["solve", instance, "--output", result],
+        ["verify", instance, result],
+        ["check", instance],
+        ["gen", "rooks", "--n", "2", "--seed", "1", "--output", generated],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = symmarriage.cli.main(argv)
+        seen.append((argv[0], code, "numpy" in sys.modules))
+    print(seen)
+    """
+)
+
+
+class TestColdStart:
+    def test_only_gen_imports_numpy(self, i1_file, tmp_path):
+        src = str(Path(symmarriage.__file__).resolve().parent.parent)
+        paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+        args = [i1_file, str(tmp_path / "result.json"), str(tmp_path / "rooks.json")]
+        done = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT, *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            timeout=60,
+        )
+        # Loaded after import, then after each command: only gen loads numpy.
+        assert done.stdout.strip() == repr(
+            [False, ("solve", 0, False), ("verify", 0, False), ("check", 0, False), ("gen", 0, True)]
+        ), done.stderr
 
 
 class TestCollectorPause:
