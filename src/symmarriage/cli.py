@@ -23,8 +23,11 @@ import sys
 from .fileio import (
     ParseError,
     ResultDoc,
+    _load_object,
     parse_instance,
     parse_result,
+    prepare_document,
+    prepare_raw,
     serialize_instance,
     serialize_result,
 )
@@ -37,8 +40,6 @@ from .instances import (
     SmpInstance,
     assignment_violations,
     cmp_to_smp,
-    preprocess_refusals,
-    validate_raw,
 )
 from .star import solve, solve_via_subproblems, unsolvable_violator
 from .weighted import weighted_assignment
@@ -189,19 +190,27 @@ def _emit(path: str | None, text: str) -> None:
         raise _OutputError(f"cannot write '{path}': {exc}") from exc
 
 
+def _instance_text(path: str) -> str:
+    try:
+        return _read_text(path)
+    except OSError as exc:
+        raise ParseError(f"cannot read '{path}': {exc}") from exc
+
+
 def _load_instance(path: str) -> SmpInstance | Infeasible:
-    """Read, validate and preprocess an instance file.
+    """Read, validate and preprocess an instance file, indexing its lists in
+    the same pass (solve, check).
 
     Raises ParseError for unreadable, malformed or invalid documents.
     """
-    try:
-        raw = parse_instance(_read_text(path))
-    except OSError as exc:
-        raise ParseError(f"cannot read '{path}': {exc}") from exc
-    problems = validate_raw(raw)
-    if problems:
-        raise ParseError("; ".join(problems))
-    return preprocess_refusals(raw)
+    # The text is dropped once json.loads returns, before the pass starts.
+    return prepare_document(_load_object(_instance_text(path)))
+
+
+def _load_named(path: str) -> SmpInstance | Infeasible:
+    """``_load_instance`` by the name-level checks alone (verify), which
+    leave the index caches unbuilt."""
+    return prepare_raw(parse_instance(_instance_text(path)))
 
 
 def _cmd_solve(args) -> int:
@@ -282,7 +291,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prepared = _load_instance(args.instance)
+    prepared = _load_named(args.instance)
     try:
         result = parse_result(_read_text(args.result))
     except OSError as exc:

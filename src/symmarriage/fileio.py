@@ -13,17 +13,26 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, filterfalse, repeat
 from json.encoder import encode_basestring
 
 from .hall import HallViolator
-from .instances import RawInstance, SmpInstance
+from .instances import (
+    Infeasible,
+    RawInstance,
+    SmpInstance,
+    preprocess_refusals,
+    validate_raw,
+)
 
 INSTANCE_VERSION = 1
 
 _INSTANCE_KEYS = ("version", "girls", "boys", "girl_lists", "boy_lists", "refusers")
+_KEYS = frozenset(_INSTANCE_KEYS)
+_REQUIRED_KEYS = frozenset(_INSTANCE_KEYS[:-1])
 _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
+_LIST = {list}
 # One [girl, boy] pair of a solved document, as json.dumps(indent=2) lays it out.
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 # A \uD800-\uDFFF escape in JSON text.
@@ -76,9 +85,13 @@ def _load_object(text: str) -> dict:
     return doc
 
 
-def _string_array(value, where: str) -> tuple[str, ...]:
+def _is_string_array(value) -> bool:
     # One C-level type test per array; json.loads never yields subclasses.
-    if type(value) is not list or not set(map(type, value)) <= _STR:
+    return type(value) is list and set(map(type, value)) <= _STR
+
+
+def _string_array(value, where: str) -> tuple[str, ...]:
+    if not _is_string_array(value):
         raise ParseError(f"'{where}' must be an array of strings")
     return tuple(value)
 
@@ -99,7 +112,11 @@ def _list_table(value, field: str, owner: str) -> dict[str, tuple[str, ...]]:
 
 def parse_instance(text: str) -> RawInstance:
     """Parse an instance document; raises ParseError on any schema violation."""
-    doc = _load_object(text)
+    return _raw_instance(_load_object(text))
+
+
+def _raw_instance(doc: dict) -> RawInstance:
+    """The schema checks of :func:`parse_instance` on a parsed document."""
     unknown = [k for k in doc if k not in _INSTANCE_KEYS]
     if unknown:
         raise ParseError(f"unknown keys: {unknown}")
@@ -115,6 +132,117 @@ def parse_instance(text: str) -> RawInstance:
     boy_lists = _list_table(doc["boy_lists"], "boy_lists", "boy")
     refusers = _string_array(doc.get("refusers", []), "refusers")
     return RawInstance.build(girls, boys, girl_lists, boy_lists, refusers)
+
+
+def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
+    """Validate a parsed instance, then apply its refusals.
+
+    Raises ParseError naming every problem :func:`validate_raw` finds.
+    """
+    problems = validate_raw(raw)
+    if problems:
+        raise ParseError("; ".join(problems))
+    return preprocess_refusals(raw)
+
+
+def prepare_document(doc: dict) -> SmpInstance | Infeasible:
+    """``prepare_raw`` of a parsed instance document, in one pass over its
+    list entries that also fills the instance's index caches.
+
+    Each row is translated to the other side's indices by dict lookups,
+    and the translation is the validation.  A document it finds anything
+    wrong with goes through the name-level path instead (the schema checks
+    of :func:`parse_instance`, then :func:`prepare_raw`), so every error
+    message and every infeasible member is that path's.
+    """
+    prepared = _indexed_document(doc)
+    if prepared is None:
+        prepared = prepare_raw(_raw_instance(doc))
+    return prepared
+
+
+def _indexed_document(doc: dict) -> SmpInstance | Infeasible | None:
+    """The one pass of :func:`prepare_document`; None for any anomaly."""
+    if not _REQUIRED_KEYS <= doc.keys() <= _KEYS:
+        return None
+    version = doc["version"]
+    girls, boys, refusers = doc["girls"], doc["boys"], doc.get("refusers", [])
+    if (
+        type(version) is not int
+        or version != INSTANCE_VERSION
+        or not all(map(_is_string_array, (girls, boys, refusers)))
+    ):
+        return None
+    refuse = set(refusers)
+    girl_index, girl_lookup = _name_index(girls, refuse)
+    boy_index, boy_lookup = _name_index(boys, refuse)
+    if (
+        len(girl_lookup) != len(girls)
+        or len(boy_lookup) != len(boys)
+        or len(refuse) != len(refusers)
+        or refuse.difference(girl_lookup).difference(boy_lookup)
+    ):
+        return None  # a repeated roster name or refuser, or an unknown refuser
+    girl_rows = _document_rows(doc["girl_lists"], girl_index, girl_lookup, boy_lookup)
+    boy_rows = _document_rows(doc["boy_lists"], boy_index, boy_lookup, girl_lookup)
+    if girl_rows is None or boy_rows is None:
+        return None
+    if refuse:
+        # Only the rows listing a refuser change; girls first, as in
+        # preprocess_refusals.
+        for rows, index in ((girl_rows, girl_index), (boy_rows, boy_index)):
+            emptied = _drop_refused(rows)
+            if emptied is not None:
+                return Infeasible(tuple(index)[emptied])
+    return SmpInstance.indexed(girl_index, boy_index, girl_rows, boy_rows)
+
+
+def _name_index(roster: list, refuse: set) -> tuple[dict[str, int], dict[str, int]]:
+    """``name -> index`` over the roster less its refusers, and the same map
+    with each refused name sent to its own negative number.  A repeated
+    name leaves the second map shorter than the roster."""
+    kept = list(filterfalse(refuse.__contains__, roster)) if refuse else roster
+    index = dict(zip(kept, range(len(kept))))
+    if len(kept) == len(roster):
+        return index, index
+    lookup = index.copy()
+    lookup.update(zip(filter(refuse.__contains__, roster), count(-1, -1)))
+    return index, lookup
+
+
+def _document_rows(table, index: dict, own: dict, other: dict) -> list[tuple[int, ...]] | None:
+    """A side's list table as rows of the other side's indices, one per
+    member ``index`` keeps, in its order; None when the table breaks a
+    rule.  ``own`` and ``other`` map every name of the two rosters, refused
+    ones included."""
+    if type(table) is not dict or not table.keys() <= own.keys():
+        return None  # not an object, or a key naming no member
+    entries = table.values()
+    if not set(map(type, entries)) <= _LIST or not all(entries):
+        return None  # a row that is no array, or an empty one
+    lists = list(map(table.get, index, repeat(())))
+    if len(own) > len(index):
+        # The refusers' own lists are checked as well, then dropped.
+        lists += map(table.__getitem__, table.keys() - index.keys())
+    try:
+        rows = list(map(tuple, map(map, repeat(other.__getitem__), lists)))
+    except (KeyError, TypeError):
+        return None  # an unknown or non-string entry, or an unhashable one
+    if list(map(len, map(set, rows))) != list(map(len, rows)):
+        return None  # a repeated entry
+    del rows[len(index):]
+    return rows
+
+
+def _drop_refused(rows: list[tuple[int, ...]]) -> int | None:
+    """Delete the refused (negative) entries from the rows holding one, in
+    order; the first row that this empties, or None."""
+    for i, row in enumerate(rows):
+        if row and min(row) < 0:
+            rows[i] = tuple(filter((0).__le__, row))
+            if not rows[i]:
+                return i
+    return None
 
 
 def serialize_instance(instance: SmpInstance | RawInstance) -> str:

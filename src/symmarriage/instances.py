@@ -62,9 +62,36 @@ class SmpInstance:
         b = tuple(boys)
         return cls(g, b, _normalize_lists(g, girl_lists), _normalize_lists(b, boy_lists))
 
+    @classmethod
+    def indexed(
+        cls,
+        girl_index: dict[str, int],
+        boy_index: dict[str, int],
+        girl_lists_idx: Iterable[tuple[int, ...]],
+        boy_lists_idx: Iterable[tuple[int, ...]],
+    ) -> "SmpInstance":
+        """An instance given in index form, with those four caches filled.
+
+        The rosters are the keys of ``girl_index`` and ``boy_index``, each
+        mapped to its position; the rows are in roster order.  The name
+        tables are read off the rows, so every name in them is a roster's
+        own string.
+        """
+        girls, boys = tuple(girl_index), tuple(boy_index)
+        girl_rows, boy_rows = tuple(girl_lists_idx), tuple(boy_lists_idx)
+        instance = cls(girls, boys, _named_rows(girls, girl_rows, boys), _named_rows(boys, boy_rows, girls))
+        instance.__dict__.update(
+            girl_index=girl_index,
+            boy_index=boy_index,
+            girl_lists_idx=girl_rows,
+            boy_lists_idx=boy_rows,
+        )
+        return instance
+
     # Index caches below assume a valid instance (no dangling references).
     # Each is built by C-level maps over whole rows, with no Python step per
-    # list entry.
+    # list entry.  On the solve and check paths the loader's one pass fills
+    # the first four through ``indexed``; verify builds none of them.
 
     @cached_property
     def girl_index(self) -> dict[str, int]:
@@ -105,6 +132,14 @@ def _index_rows(
     """Each roster member's list translated to the other side's indices."""
     lookup = index.__getitem__
     return tuple(tuple(map(lookup, row)) for row in map(lists.__getitem__, roster))
+
+
+def _named_rows(
+    roster: tuple[str, ...], rows: tuple[tuple[int, ...], ...], other: tuple[str, ...]
+) -> dict[str, tuple[str, ...]]:
+    """The inverse of ``_index_rows``: each member's row as the other side's names."""
+    # Indexing a list is quicker than indexing a tuple.
+    return dict(zip(roster, map(tuple, map(map, repeat(list(other).__getitem__), rows))))
 
 
 @dataclass(frozen=True)

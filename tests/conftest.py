@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,16 @@ I3 = SmpInstance.build(
 TWO_GIRLS_ONE_BOY = SmpInstance.build(
     ["g1", "g2"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {}
 )
+
+
+def bench_document(workload: str, n: int, seed: int = 1) -> str:
+    """A benchmark family's instance document at size ``n``."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    return workloads.generate(workload, seed, n).document()
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,14 +18,17 @@ from hypothesis import strategies as st
 import symmarriage
 from symmarriage import (
     HallViolator,
+    Infeasible,
     InvariantError,
+    RawInstance,
     SmpInstance,
     Unsolvable,
     pare_lists,
+    preprocess_refusals,
     solve,
     validate_raw,
 )
-from symmarriage import cli, fileio
+from symmarriage import cli, fileio, instances
 from symmarriage.cli import main
 from symmarriage.weighted import WEIGHT_GUARD
 from symmarriage.fileio import (
@@ -36,7 +40,7 @@ from symmarriage.fileio import (
     serialize_result,
 )
 
-from .conftest import I1, smp_instances
+from .conftest import I1, bench_document, smp_instances
 
 
 I1_DOC = {
@@ -781,6 +785,274 @@ class TestStringArrayOracle:
         with pytest.raises(ParseError) as got:
             parse_result(json.dumps({"status": "unsolvable", "violator": violator}))
         assert str(got.value) == "'violator.members' must be an array of strings"
+
+
+def reference_load(text):
+    """The name-level path, kept as the oracle for the one-pass loader."""
+    raw = parse_instance(text)
+    problems = validate_raw(raw)
+    if problems:
+        raise ParseError("; ".join(problems))
+    return preprocess_refusals(raw)
+
+
+def one_pass_load(text):
+    return fileio.prepare_document(fileio._load_object(text))
+
+
+def load_outcome(load, text):
+    """The loaded result, or the message of the error raised."""
+    try:
+        return load(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def loaded_snapshot(outcome):
+    """Everything observable about a load outcome, key order included."""
+    if not isinstance(outcome, SmpInstance):
+        return outcome
+    return (
+        outcome.girls,
+        outcome.boys,
+        list(outcome.girl_lists.items()),
+        list(outcome.boy_lists.items()),
+    )
+
+
+FILLED_CACHES = ("girl_index", "boy_index", "girl_lists_idx", "boy_lists_idx")
+
+
+def cache_values(instance):
+    """The four index caches, dicts with their key order."""
+    values = [getattr(instance, name) for name in FILLED_CACHES]
+    return [list(v.items()) if isinstance(v, dict) else v for v in values]
+
+
+def assert_loads_alike(text):
+    """The one pass gives the name-level path's outcome, a valid document
+    takes the one pass alone, and its caches are filled and fresh."""
+    got = load_outcome(one_pass_load, text)
+    want = load_outcome(reference_load, text)
+    assert type(got) is type(want)
+    assert loaded_snapshot(got) == loaded_snapshot(want)
+    if not isinstance(want, str):
+        assert fileio._indexed_document(fileio._load_object(text)) is not None
+    if isinstance(got, SmpInstance):
+        assert set(FILLED_CACHES) <= vars(got).keys()
+        fresh = SmpInstance(got.girls, got.boys, got.girl_lists, got.boy_lists)
+        assert cache_values(got) == cache_values(fresh)
+    return got
+
+
+DOC_GIRLS = ("g1", "g2", "g3", "x")
+DOC_BOYS = ("b1", "b2", "b3", "x")
+ODD_ENTRIES = st.one_of(
+    st.integers(-1, 1), st.none(), st.booleans(), st.just(["b1"]), st.just({"b1": "g1"})
+)
+
+
+@st.composite
+def instance_documents(draw):
+    """Instance documents of three kinds: valid ones (with refusers that may
+    empty a list); valid ones with one fault put in, so each rule is met
+    alone; and ones drawn from small name pools, which may break several
+    rules at once, frame faults included."""
+    kind = draw(st.sampled_from(["valid", "one fault", "pooled"]))
+    if kind == "pooled":
+        return json.dumps(draw(pooled_documents()))
+    inst = draw(smp_instances())
+    members = inst.girls + inst.boys
+    refusers = draw(st.lists(st.sampled_from(members), unique=True, max_size=3)) if members else []
+    raw = RawInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists, tuple(refusers))
+    text = serialize_instance(raw)
+    if kind == "valid":
+        return text
+    doc = json.loads(text)
+    rows = [row for field in ("girl_lists", "boy_lists") for row in doc[field].values()]
+    fault = draw(st.sampled_from(["repeated entry", "unknown entry", "odd entry", "list key", "roster"]))
+    if fault == "roster" or not rows:
+        field = draw(st.sampled_from(["girls", "boys", "refusers"]))
+        names = doc.setdefault(field, [])
+        names.append(draw(st.sampled_from(names + ["zz"])) if names else "zz")
+    elif fault == "list key":
+        field, owner = draw(st.sampled_from([("girl_lists", "gz"), ("boy_lists", "bz"), ("girl_lists", None)]))
+        doc[field][owner or draw(st.sampled_from(inst.girls))] = [] if owner is None else rows[0]
+    else:
+        row = draw(st.sampled_from(rows))
+        entry = {
+            "repeated entry": st.sampled_from(row),
+            "unknown entry": st.just("zz"),
+            "odd entry": ODD_ENTRIES,
+        }[fault]
+        row.insert(draw(st.integers(0, len(row))), draw(entry))
+    return json.dumps(doc)
+
+
+@st.composite
+def pooled_documents(draw):
+    def table(keys, partners):
+        entry = st.one_of(*[st.sampled_from(partners)] * 4, ODD_ENTRIES)
+        rows = st.lists(entry, max_size=4)
+        return draw(st.dictionaries(st.sampled_from(keys), rows, max_size=4))
+
+    doc = {
+        "version": 1,
+        "girls": draw(st.lists(st.sampled_from(DOC_GIRLS), max_size=4)),
+        "boys": draw(st.lists(st.sampled_from(DOC_BOYS), max_size=4)),
+        "girl_lists": table(DOC_GIRLS + ("gz",), DOC_BOYS + ("bz",)),
+        "boy_lists": table(DOC_BOYS + ("bz",), DOC_GIRLS + ("gz",)),
+    }
+    if draw(st.booleans()):
+        doc["refusers"] = draw(st.lists(st.sampled_from(DOC_GIRLS + DOC_BOYS + ("zz",)), max_size=3))
+    fault = draw(st.sampled_from([None, None, None, "version", "extra", "missing", "roster"]))
+    if fault == "version":
+        doc["version"] = draw(st.sampled_from([2, True, "1", 1.0, None]))
+    elif fault == "extra":
+        doc["comment"] = "x"
+    elif fault == "missing":
+        del doc[draw(st.sampled_from(["version", "girls", "boys", "girl_lists", "boy_lists"]))]
+    elif fault == "roster":
+        doc[draw(st.sampled_from(["girls", "boys", "refusers"]))] = draw(
+            st.sampled_from([None, "g1", ["g1", 1], {"g1": 1}])
+        )
+    return doc
+
+
+LOAD_BASE = {
+    "version": 1,
+    "girls": ["g1", "g2", "x"],
+    "boys": ["b1", "b2", "b3", "x"],
+    "girl_lists": {"g1": ["b1", "b2", "b3"], "x": ["b1"]},
+    "boy_lists": {"b2": ["g2", "g1"], "b1": ["x", "g1"]},
+}
+NOT_STRINGS = "'girl_lists.g1' must be an array of strings"
+
+LOAD_CASES = {
+    "int entry": ({"girl_lists": {"g1": ["b1", 3]}}, NOT_STRINGS),
+    "null entry": ({"girl_lists": {"g1": [None]}}, NOT_STRINGS),
+    "true entry": ({"girl_lists": {"g1": ["b1", True]}}, NOT_STRINGS),
+    "nested array entry": ({"girl_lists": {"g1": [["b1"]]}}, NOT_STRINGS),
+    "object entry": ({"girl_lists": {"g1": [{"b1": 1}]}}, NOT_STRINGS),
+    "empty list": (
+        {"boy_lists": {"b1": ["g1"], "b3": []}},
+        "empty list for boy 'b3' (omit the key to mean no list)",
+    ),
+    "unknown list key": ({"girl_lists": {"g1": ["b1"], "gz": ["b1"]}}, "unknown girl 'gz' in girl_lists"),
+    "repeated roster names": (
+        {"girls": ["g1", "g2", "g1", "x"], "boys": ["b1", "b2", "b3", "x", "b2"]},
+        "duplicate girl 'g1'; duplicate boy 'b2'",
+    ),
+    "repeated entry": (
+        {"boy_lists": {"b2": ["g2", "g1", "g2"]}},
+        "duplicate entry 'g2' in list of boy 'b2'",
+    ),
+    "unknown entry after a fault": (
+        {"girl_lists": {"gz": ["b1"], "g1": ["bz"]}, "refusers": ["zz"]},
+        "unknown girl 'gz' in girl_lists; unknown boy 'bz' in list of girl 'g1'; unknown refuser 'zz'",
+    ),
+    "two refusers in one row": (
+        {"refusers": ["b2", "b3"]},
+        (
+            ("g1", "g2", "x"),
+            ("b1", "x"),
+            [("g1", ("b1",)), ("g2", ()), ("x", ("b1",))],
+            [("b1", ("x", "g1")), ("x", ())],
+        ),
+    ),
+    "refuser on both rosters": (
+        {"refusers": ["x"], "boy_lists": {"b1": ["x", "g1"], "x": ["g1"]}},
+        (
+            ("g1", "g2"),
+            ("b1", "b2", "b3"),
+            [("g1", ("b1", "b2", "b3")), ("g2", ())],
+            [("b1", ("g1",)), ("b2", ()), ("b3", ())],
+        ),
+    ),
+    "refuser's own list holds an unknown name": (
+        {"refusers": ["x"], "girl_lists": {"x": ["b1", "bz"]}},
+        "unknown boy 'bz' in list of girl 'x'",
+    ),
+    "unknown refuser": ({"refusers": ["b1", "zz"]}, "unknown refuser 'zz'"),
+    "repeated refuser": ({"refusers": ["b1", "g2", "b1"]}, "duplicate refuser 'b1'"),
+    "girl's row emptied": ({"refusers": ["b1"]}, Infeasible("x")),
+    "boy's row emptied": ({"refusers": ["x", "g1"]}, Infeasible("b1")),
+    "both sides emptied, girls first": ({"refusers": ["b1", "g1", "g2"]}, Infeasible("x")),
+}
+
+
+class TestPreparedLoadOracle:
+    @given(instance_documents())
+    @settings(deadline=None, max_examples=600)
+    def test_same_outcome_as_name_level_path(self, text):
+        assert_loads_alike(text)
+
+    @pytest.mark.parametrize("workload", ["reciprocal-repair", "planted-unsolvable"])
+    def test_same_outcome_on_bench_families(self, workload):
+        assert isinstance(assert_loads_alike(bench_document(workload, 1000)), SmpInstance)
+
+    @pytest.mark.parametrize("case", list(LOAD_CASES))
+    def test_explicit_case(self, case):
+        change, expected = LOAD_CASES[case]
+        got = assert_loads_alike(json.dumps(dict(LOAD_BASE, **change)))
+        assert loaded_snapshot(got) == expected
+
+    def test_base_document_loads_whole(self):
+        got = assert_loads_alike(json.dumps(LOAD_BASE))
+        assert got.girl_lists_idx == ((0, 1, 2), (), (0,))
+        assert got.boy_lists_idx == ((2, 0), (1, 0), (), ())
+
+
+class TestLoadPaths:
+    """solve and check load an instance in one pass; verify keeps the
+    name-level checks, which build no index rows."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for module, name in (
+            (fileio, "validate_raw"),
+            (fileio, "preprocess_refusals"),
+            (instances, "_index_rows"),
+        ):
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_solve_and_check_skip_the_name_level_path(self, tmp_path, calls, capsys):
+        path = write_doc(tmp_path, "i.json", LOAD_BASE)
+        for method in ("star", "subproblems", "weight"):
+            assert main(["solve", path, "--method", method]) == 0
+        assert main(["check", path]) == 0
+        assert calls == {}
+        refusing = write_doc(tmp_path, "r.json", dict(LOAD_BASE, refusers=["b3"]))
+        assert main(["solve", refusing]) == 0
+        assert calls == {}
+        capsys.readouterr()
+
+    def test_bad_document_takes_the_name_level_path(self, tmp_path, calls, capsys):
+        path = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, refusers=["zz"]))
+        assert main(["solve", path]) == 65
+        assert capsys.readouterr().err == "error: unknown refuser 'zz'\n"
+        assert calls == {"validate_raw": 1}
+
+    @pytest.mark.parametrize("girl_lists, code", [({"g1": ["b1"]}, 0), ({"g1": ["b1"], "g2": ["b1"]}, 1)])
+    def test_verify_leaves_index_rows_unbuilt(self, girl_lists, code, tmp_path, calls, monkeypatch, capsys):
+        path = write_doc(tmp_path, "i.json", dict(I1_DOC, girl_lists=girl_lists, boy_lists={}))
+        result = str(tmp_path / "r.json")
+        assert main(["solve", path, "--output", result]) == code
+        seen = []
+        check_claim = cli._verify_claim
+        monkeypatch.setattr(
+            cli, "_verify_claim", lambda prepared, claim: seen.append(prepared) or check_claim(prepared, claim)
+        )
+        assert main(["verify", path, result]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert not {"girl_lists_idx", "boy_lists_idx"} & vars(seen[0]).keys()
+        assert calls == {"validate_raw": 1, "preprocess_refusals": 1}
 
 
 class TestModuleEntry:

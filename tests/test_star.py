@@ -48,7 +48,7 @@ from symmarriage.instances import (
     preprocess_refusals,
 )
 
-from .conftest import random_instance, smp_instances
+from .conftest import bench_document, random_instance, smp_instances
 from .test_acceptance import exhaustive_3x3
 
 
@@ -305,12 +305,7 @@ def refused_instances(draw):
 
 def bench_instance(workload, n):
     """A benchmark family's instance at size ``n``, as the CLI would load it."""
-    bench = str(Path(__file__).resolve().parent.parent / "bench")
-    if bench not in sys.path:
-        sys.path.append(bench)
-    import workloads
-
-    return preprocess_refusals(parse_instance(workloads.generate(workload, 1, n).document()))
+    return preprocess_refusals(parse_instance(bench_document(workload, n)))
 
 
 def reference_build_star(inst):
