@@ -227,9 +227,10 @@ def gen_assignment(
     tasks = tuple(tasks)
     mandatory = tuple(mandatory_tasks)
     paid = tuple(paid_workers)
-    if not set(mandatory) <= set(tasks):
+    worker_set, task_set = set(workers), set(tasks)
+    if not task_set.issuperset(mandatory):
         raise ValueError("mandatory_tasks must be a subset of tasks")
-    if not set(paid) <= set(workers):
+    if not worker_set.issuperset(paid):
         raise ValueError("paid_workers must be a subset of workers")
     if paid and not tasks:
         raise ValueError("paid workers need at least one task to exist")
@@ -249,7 +250,7 @@ def gen_assignment(
     else:
         relation = set(capability)
         for w, t in relation:
-            if w not in set(workers) or t not in set(tasks):
+            if w not in worker_set or t not in task_set:
                 raise ValueError(f"capability pair ({w!r}, {t!r}) names unknown members")
         for w in paid:
             if not any((w, t) in relation for t in tasks):

@@ -13,9 +13,10 @@ The listed cores form a vertex cover, so no matching exceeds
 maximum matching reaches that size.  The graph falls into two components,
 the two pared one-sided graphs, which every route matches apart in one
 core.  Their union may pair a girl with one boy's list node while that
-boy's core holds a different girl's list node ("mismatched" edges).
-Chain swaps rewire those into mutual pairs without losing cardinality,
-after which the pairing can be read off.
+boy's core holds a different girl's list node ("mismatched" edges).  By
+the Mendelsohn-Dulmage theorem the union, read as who holds whom, is a set
+of disjoint paths and even cycles, so one pass over it reads off a mutual
+pairing of every listed member.
 """
 
 from __future__ import annotations
@@ -172,22 +173,18 @@ def _build_star(
     return star, tuple(boys_rows), wild
 
 
-def _is_mismatched(star: StarGraph, pair_left: dict[int, int], u: int) -> bool:
-    """Whether left vertex ``u`` holds a list-node edge lacking its mutual
-    partner edge.  Depends only on ``pair_left`` at ``u`` and at its twin."""
-    v = pair_left.get(u)
-    if v is None:
-        return False
-    n_g = len(star.instance.girls)
-    n_b = len(star.instance.boys)
-    if u < n_g:
-        return v >= n_b and pair_left.get(star.lg_node[u]) != star.listed_boys[v - n_b]
-    return v < n_b and pair_left.get(star.listed_girls[u - n_g]) != star.lb_node[v]
-
-
 def _mismatched_edges(star: StarGraph, pair_left: dict[int, int]) -> list[tuple[int, int]]:
     """Matched list-node edges whose mutual partner edge is absent, ascending."""
-    return [(u, pair_left[u]) for u in sorted(pair_left) if _is_mismatched(star, pair_left, u)]
+    n_g, n_b = len(star.instance.girls), len(star.instance.boys)
+    edges = []
+    for u, v in sorted(pair_left.items()):
+        if u < n_g:
+            twin_ok = v < n_b or pair_left.get(star.lg_node[u]) == star.listed_boys[v - n_b]
+        else:
+            twin_ok = v >= n_b or pair_left.get(star.listed_girls[u - n_g]) == star.lb_node[v]
+        if not twin_ok:
+            edges.append((u, v))
+    return edges
 
 
 def find_mismatches(star: StarGraph, matching: Matching) -> MismatchReport:
@@ -207,131 +204,82 @@ def find_mismatches(star: StarGraph, matching: Matching) -> MismatchReport:
     return MismatchReport(tuple(entries))
 
 
-def _apply_chain(
-    star: StarGraph,
-    pair_left: dict[int, int],
-    pair_right: dict[int, int],
-    start_x: int,
-    start_y: int,
-    girl_start: bool,
-) -> None:
-    """Chase one alternating chain of list-node partners and swap it mutual.
+def _pairing(star: StarGraph, pair_left: dict, stats: dict | None) -> list[tuple[int, int]]:
+    """The mutual pairing read off ``pair_left``, a full-size star matching,
+    as (girl, boy) pairs in girl order, in one Mendelsohn-Dulmage pass.
 
-    ``start_x`` is the core member currently matched to ``start_y``'s list
-    node, the counterpart edge being absent.  X is the start's side (girls
-    for a girl start, boys otherwise) and Y the other; edges are built as
-    (X-side vertex, Y-side vertex) and flipped once for a boy start.
-    Walking partner-of-list-node pointers ends in a free list node on the
-    start side, a cycle back to ``start_y``, or a free list node on the far
-    side.  Each ending admits a swap that pairs every chain member mutually
-    with its chain partner, and with them their twins, while keeping the
-    matching size and the covered cores unchanged.  The one vertex outside
-    the chain that loses its edge (``ys[0]``'s old mate, or ``ys[0]``'s list
-    node) keeps its status, so the swap creates no mismatch.  A vertex that
-    gains an edge is mutual from then on, so each adjacency row gains an
-    edge at most once in a repair pass and testing added edges against the
-    rows stays linear.  A chain holds each listed X member at most once, so
-    a walk that outgrows them came from a bad start and raises
-    ``InvariantError``.
+    Each listed girl points at the boy whose list node or wildcard core she
+    holds, and each listed boy at the girl whose list node or wildcard core
+    holds him.  Nobody is pointed at twice, so the pointers form disjoint
+    paths, each ending at a wildcard, and even cycles.  Each listed girl
+    takes the boy she points at, except on a path that starts at a listed
+    boy no listed girl points at: there each boy takes the girl he points
+    at, up to the wildcard end.  Such a path holds each listed boy at most
+    once, so a walk that outgrows them raises ``InvariantError``, as does a
+    pairing that does not match every listed member exactly once.  Records
+    ``initial_mismatches`` and ``iterations`` (the paths and cycles that
+    hold a mismatched edge) in ``stats`` when given.
     """
-    if girl_start:
-        node_x, node_y, mate_x, mate_y = star.lg_node, star.lb_node, pair_left, pair_right
-    else:
-        node_x, node_y, mate_x, mate_y = star.lb_node, star.lg_node, pair_right, pair_left
-    xs = [start_x]
-    ys = [start_y]
-    while True:
-        nxt_y = mate_x.get(node_x[xs[-1]])
-        if nxt_y is None or nxt_y == ys[0]:
-            # Free list node on the start side, or a cycle back to the start
-            # (where ys[0]'s mate is the last X list node): move each Y core
-            # onto its own X partner's list node.
-            removed = [(node_x[x], y) for x, y in zip(xs, ys[1:])]
-            removed.append((mate_y[ys[0]], ys[0]))
-            added = [(node_x[x], y) for x, y in zip(xs, ys)]
-            break
-        ys.append(nxt_y)
-        nxt_x = mate_y.get(node_y[nxt_y])
-        if nxt_x is None:
-            # Free list node on the far side: shift every X one step along.
-            removed = [(x, node_y[y]) for x, y in zip(xs, ys)]
-            added = [(x, node_y[y]) for x, y in zip(xs, ys[1:])]
-            break
-        xs.append(nxt_x)
-        if len(xs) > len(node_x):
-            raise InvariantError("chain walk outgrew the listed members of its start side")
-    if not girl_start:
-        removed = [(y, x) for x, y in removed]
-        added = [(y, x) for x, y in added]
-    for u, v in removed:
-        if pair_left.get(u) != v:
-            raise InvariantError(f"chain swap removes unmatched edge ({u}, {v})")
-        del pair_left[u]
-        del pair_right[v]
-    adj = star.graph.adjacency
-    for u, v in added:
-        if v not in adj[u] or u in pair_left or v in pair_right:
-            raise InvariantError(f"chain swap cannot add edge ({u}, {v})")
-        pair_left[u] = v
-        pair_right[v] = u
-
-
-def _repair(star: StarGraph, pair_left: dict[int, int], stats: dict | None) -> None:
-    """Rewire ``pair_left``, a full-size star matching, in place until every
-    matched list-node edge has its mutual partner.
-
-    No chain swap creates a mismatch (see :func:`_apply_chain`), so one
-    ascending pass over the initially mismatched edges repairs the chain of
-    the smallest mismatched edge each time, skipping a start an earlier
-    chain already made mutual: O(|M| + total chain length) time.  Records
-    ``initial_mismatches`` and ``iterations`` in ``stats`` when given.
-    """
-    size = len(pair_left)
-    pair_right = {v: u for u, v in pair_left.items()}
-    n_g = len(star.instance.girls)
-    n_b = len(star.instance.boys)
-    seeds = [u for u, _ in _mismatched_edges(star, pair_left)]
-    iterations = 0
-    for u in seeds:
-        if not _is_mismatched(star, pair_left, u):
-            continue
-        iterations += 1
-        v = pair_left[u]
-        if u < n_g:
-            _apply_chain(star, pair_left, pair_right, u, star.listed_boys[v - n_b], True)
+    n_g, n_b = len(star.instance.girls), len(star.instance.boys)
+    listed_g, listed_b = star.listed_girls, star.listed_boys
+    boy_rows = star.instance.boy_lists_idx
+    boy_of = [-1] * n_g
+    girl_of = [-1] * n_b
+    for u, v in pair_left.items():
+        if u >= n_g:
+            girl_of[v] = listed_g[u - n_g]
+        elif v >= n_b:
+            boy_of[u] = listed_b[v - n_b]
+        elif boy_rows[v]:
+            girl_of[v] = u
         else:
-            _apply_chain(star, pair_left, pair_right, v, star.listed_girls[u - n_g], False)
-        if _is_mismatched(star, pair_left, u):
-            raise InvariantError("chain swap did not reduce the mismatch count")
-    if len(pair_left) != size:
-        raise InvariantError("repair changed the matching size")
+            boy_of[u] = v
+    partner = boy_of.copy()
+    held = set(boy_of)
+    for b in listed_b:
+        if b in held:
+            continue
+        for _ in listed_b:
+            g = girl_of[b]
+            partner[g] = b
+            b = boy_of[g]
+            if b < 0 or girl_of[b] < 0:
+                break
+        else:
+            raise InvariantError("pairing walk outgrew the listed boys")
+    pairs = [(g, b) for g, b in enumerate(partner) if b >= 0]
+    taken = {b for _, b in pairs}
+    if len(taken) < len(pairs) or not taken.issuperset(listed_b) or -1 in map(
+        partner.__getitem__, listed_g
+    ):
+        raise InvariantError("pairing does not match every listed member exactly once")
     if stats is not None:
-        stats["initial_mismatches"] = len(seeds)
-        stats["iterations"] = iterations
-
-
-def _assignment(star: StarGraph, pair_left: dict[int, int]) -> Assignment:
-    """The pairing of a mismatch-free matching: a girl is paired with a boy
-    when they are matched directly or when she holds his list node
-    (mutuality then guarantees he holds hers)."""
-    girls, boys = star.instance.girls, star.instance.boys
-    n_b = len(boys)
-    listed_b = star.listed_boys
-    pairs = (
-        (girls[g], boys[v if v < n_b else listed_b[v - n_b]])
-        for g in range(len(girls))
-        if (v := pair_left.get(g)) is not None
-    )
-    return Assignment(tuple(pairs))
+        # Paths from a listed member no one points at to a listed member,
+        # then cycles through more than one girl, each walked once.
+        pointed = set(girl_of)
+        parts = sum(girl_of[boy_of[g]] >= 0 for g in listed_g if g not in pointed)
+        parts += sum(boy_of[girl_of[b]] >= 0 for b in listed_b if b not in held)
+        seen = bytearray(n_g)
+        for g in listed_g:
+            x = -1 if seen[g] else g
+            while x >= 0 and not seen[x]:
+                seen[x] = 1
+                b = boy_of[x]
+                x = girl_of[b] if b >= 0 else -1
+            parts += x == g and girl_of[boy_of[g]] != g
+        stats["initial_mismatches"] = len(_mismatched_edges(star, pair_left))
+        stats["iterations"] = parts
+    return pairs
 
 
 def repair_mismatches(
     star: StarGraph, matching: Matching, stats: dict | None = None
 ) -> Matching:
-    """Rewire matched list-node edges until every one has its mutual partner.
+    """The mutual matching of the pairing :func:`_pairing` reads off the
+    matching: every matched list-node edge has its mutual partner.
 
     Requires a maximum matching of size ``star.target_size`` (which then
-    necessarily covers every listed core); see :func:`_repair`.
+    necessarily covers every listed core).
     """
     if len(matching.pairs) != star.target_size:
         raise ValueError(
@@ -345,20 +293,22 @@ def repair_mismatches(
     for u, v in matching.pairs:
         if v not in adj[u]:
             raise ValueError(f"({u}, {v}) is not an edge of the star graph")
-    pair_left = dict(matching.pairs)
-    _repair(star, pair_left, stats)
+    pair_left = {}
+    for g, b in _pairing(star, dict(matching.pairs), stats):
+        if g in star.lg_node and b in star.lb_node:
+            pair_left[star.lg_node[g]] = b
+            b = star.lb_node[b]
+        pair_left[g] = b
     return Matching(tuple(sorted(pair_left.items())))
 
 
 def extract_assignment(star: StarGraph, matching: Matching) -> Assignment:
     """Read the pairing off a mismatch-free matching of full size."""
     if len(matching.pairs) != star.target_size:
-        raise ValueError(
-            f"matching has size {len(matching.pairs)}, expected {star.target_size}"
-        )
+        raise ValueError(f"matching has size {len(matching.pairs)}, expected {star.target_size}")
     if _mismatched_edges(star, matching.left_map):
         raise ValueError("matching still has mismatched edges")
-    return _assignment(star, matching.left_map)
+    return _repaired((star, matching.left_map))
 
 
 def _match_listed(
@@ -392,8 +342,7 @@ def _components(
     star, boys_rows, wild = _build_star(instance)
     adj = star.graph.adjacency
     n_g = len(instance.girls)
-    listed_g = star.listed_girls
-    listed_b = star.listed_boys
+    listed_g, listed_b = star.listed_girls, star.listed_boys
     a_graph = BipartiteGraph._from_checked_rows(
         len(listed_g), star.graph.right_count, tuple(map(adj.__getitem__, listed_g))
     )
@@ -435,12 +384,12 @@ def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
 
 
 def _repaired(outcome, stats: dict | None = None) -> Assignment | Unsolvable:
-    """The pairing read off a core outcome after repair, or its violator."""
+    """The pairing read off a core outcome, or its violator."""
     if isinstance(outcome, HallViolator):
         return Unsolvable(outcome)
     star, pair_left = outcome
-    _repair(star, pair_left, stats)
-    return _assignment(star, pair_left)
+    girls, boys = star.instance.girls, star.instance.boys
+    return Assignment(tuple((girls[g], boys[b]) for g, b in _pairing(star, pair_left, stats)))
 
 
 def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:

@@ -1,5 +1,7 @@
 """Seeded generators: structure checks, determinism, guaranteed solvability."""
 
+import time
+
 import pytest
 
 from symmarriage import (
@@ -162,6 +164,19 @@ class TestAssignment:
     def test_capability_violation_raises(self):
         with pytest.raises(ValueError, match="no capable task"):
             gen_assignment(["w1"], ["t1"], [], ["w1"], capability=[])
+
+    def test_full_capability_is_quadratic(self):
+        # Rebuilding the member sets for every capability pair made a full
+        # 400 x 400 relation take 3.3 s; 600 x 600 is checked in one pass.
+        workers = [f"w{i}" for i in range(600)]
+        tasks = [f"t{j}" for j in range(600)]
+        capability = [(w, t) for w in workers for t in tasks]
+        start = time.perf_counter()
+        inst = gen_assignment(workers, tasks, tasks[:300], workers[:300], capability=capability)
+        elapsed = time.perf_counter() - start
+        assert inst.girl_lists["w0"] == tuple(tasks) and inst.girl_lists["w599"] == ()
+        assert inst.boy_lists["t0"] == tuple(workers) and inst.boy_lists["t599"] == ()
+        assert elapsed < 3.0
 
     def test_deterministic(self):
         args = (["w1", "w2"], ["t1", "t2"], ["t1"], ["w1"])

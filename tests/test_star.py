@@ -20,6 +20,7 @@ from symmarriage import (
     Assignment,
     BipartiteGraph,
     HallViolator,
+    InvariantError,
     Matching,
     SmpInstance,
     Unsolvable,
@@ -457,9 +458,9 @@ class TestComponentSolve:
         assert_core_matches_reference_sides(bench_instance(workload, 1000))
 
     def test_one_pair_map_from_core_to_pairing(self, monkeypatch):
-        # The solve routes repair the core's pair map in place and read the
-        # pairing off it: no star Matching is built, and the only mismatch
-        # scan is repair's seed scan.
+        # The solve routes read the pairing off the core's pair map in one
+        # pass: no star Matching is built and, with no stats asked for, no
+        # mismatch scan is made.
         built, scans = [], []
         real_scan = star_module._mismatched_edges
 
@@ -480,7 +481,7 @@ class TestComponentSolve:
                 inst = random_instance(rng)
                 scans.clear()
                 solved_now = isinstance(route(inst), Assignment)
-                assert len(scans) == (1 if solved_now else 0)
+                assert scans == []
                 solved += solved_now
             assert solved >= 30
         assert built == []
@@ -514,9 +515,10 @@ class TestFindMismatches:
 
 
 def rescanning_repair(star, matching, stats):
-    """Reference repair: after every chain, rescan the whole matching for the
-    smallest mismatched edge.  The production ascending pass must reproduce
-    its matching and counts exactly."""
+    """Reference repair: chain swaps by :func:`reference_apply_chain`, each
+    from the smallest mismatched edge left after a rescan of the whole
+    matching.  The production pass must reproduce its matching exactly and
+    its initial mismatch count; it counts paths and cycles, not chains."""
     n_g, n_b = len(star.instance.girls), len(star.instance.boys)
     pair_left = dict(matching.pairs)
     pair_right = {v: u for u, v in matching.pairs}
@@ -543,13 +545,10 @@ def rescanning_repair(star, matching, stats):
         stats["iterations"] += 1
         u, v = mismatched[0]
         if u < n_g:
-            star_module._apply_chain(
-                star, pair_left, pair_right, u, star.listed_boys[v - n_b], True
-            )
+            start = (u, star.listed_boys[v - n_b], True)
         else:
-            star_module._apply_chain(
-                star, pair_left, pair_right, v, star.listed_girls[u - n_g], False
-            )
+            start = (v, star.listed_girls[u - n_g], False)
+        reference_apply_chain(star, pair_left, pair_right, *start, Counter())
         remaining = mismatched_edges()
         assert len(remaining) < len(mismatched)
         mismatched = remaining
@@ -558,8 +557,9 @@ def rescanning_repair(star, matching, stats):
 
 def reference_apply_chain(star, pair_left, pair_right, start_x, start_y, girl_start, endings):
     """The chain swap written out once per start side, with the start-side-free
-    and cycle endings apart, kept as the oracle for the single walk in
-    ``star._apply_chain``.  Counts the ending it takes in ``endings``."""
+    and cycle endings apart: one alternating chain of list-node partners from
+    a mismatched edge, swapped mutual.  Counts the ending it takes in
+    ``endings``."""
     if girl_start:
         # X side = girls (left cores), Y side = boys (right cores).
         def lx_partner(x):
@@ -632,6 +632,21 @@ def reference_apply_chain(star, pair_left, pair_right, start_x, start_y, girl_st
         assert v in star.graph.adjacency[u] and u not in pair_left and v not in pair_right
         pair_left[u] = v
         pair_right[v] = u
+
+
+def mismatch_components(star, matching):
+    """How many connected groups the mismatched (girl, boy) pairs of the
+    matching form, by union-find over the pairs."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for m in find_mismatches(star, matching).mismatched:
+        parent[find(("girl", m.girl))] = find(("boy", m.boy))
+    return sum(find(x) == x for x in parent)
 
 
 def shuffled_max_matching(star, rng):
@@ -786,33 +801,28 @@ MISMATCHED_INSTANCE = SmpInstance.build(
 OPTIMIZED_REPAIR_SCRIPT = textwrap.dedent(
     """
     import sys
-    from symmarriage import InvariantError, build_star_graph, max_matching, star
+    from symmarriage import star
     from symmarriage.cli import main
-    from symmarriage.fileio import parse_instance
-    from symmarriage.instances import preprocess_refusals
 
     assert False, "unreachable when assert statements are stripped"
-    # A chain swap that rewires nothing.
-    star._apply_chain = lambda *args: None
-    with open(sys.argv[1], encoding="utf-8") as handle:
-        inst = preprocess_refusals(parse_instance(handle.read()))
-    graph = build_star_graph(inst)
-    try:
-        star.repair_mismatches(graph, max_matching(graph.graph))
-        print("accepted")
-    except InvariantError:
-        print("InvariantError")
+    real_components = star._components
+
+    def unmatched_listed_girl(instance, boys_left):
+        # A core outcome whose pair map leaves a listed girl's core free.
+        graph, pair_left = real_components(instance, boys_left)
+        del pair_left[graph.listed_girls[0]]
+        return graph, pair_left
+
+    star._components = unmatched_listed_girl
     print(main(["solve", sys.argv[1]]))
     """
 )
 
 
 class TestRepairInvariants:
-    def test_stalled_chain_raises_under_optimize(self, tmp_path):
+    def test_broken_pairing_raises_under_optimize(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(serialize_instance(MISMATCHED_INSTANCE))
-        star = build_star_graph(MISMATCHED_INSTANCE)
-        assert find_mismatches(star, max_matching(star.graph)).count == 1
         src = str(Path(symmarriage.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-O", "-c", OPTIMIZED_REPAIR_SCRIPT, str(path)],
@@ -821,15 +831,24 @@ class TestRepairInvariants:
             env=dict(os.environ, PYTHONPATH=src),
             timeout=120,
         )
-        assert result.stdout.split() == ["InvariantError", "70"], result.stderr
+        assert result.stdout.split() == ["70"], result.stderr
         assert result.stderr == (
-            "internal error: chain swap did not reduce the mismatch count\n"
+            "internal error: pairing does not match every listed member exactly once\n"
         )
 
+    @pytest.mark.parametrize("pair_left", [{0: 0, 1: 0}, {0: 0}], ids=["shared", "free"])
+    def test_broken_map_raises(self, two_girls_one_boy, pair_left):
+        # Both listed girls holding the one boy, or a listed girl left free:
+        # neither pairs every listed member exactly once.
+        star = build_star_graph(two_girls_one_boy)
+        with pytest.raises(InvariantError, match="exactly once"):
+            star_module._pairing(star, pair_left, None)
 
-# Girls g1, g2 and boys b1, b2 all list each other, matched mutually
-# g1-b1 and g2-b2.  A chain started from g1 as if she held b2's list node
-# walks L_g1 -> b1 -> L_b1 -> g1 and round again, never back to b2.
+
+# Girls g1, g2 and boys b1, b2 all list each other.  In this hand-made pair
+# map both girls hold b1's list node, L_g1 holds b1 and L_g2 holds b2.  No
+# girl points at b2, so a walk starts there: b2 -> g2 -> b1 -> g1 -> b1 and
+# round again, never reaching a wildcard end.
 UNCLOSED_CHAIN_SCRIPT = textwrap.dedent(
     """
     import resource
@@ -840,11 +859,10 @@ UNCLOSED_CHAIN_SCRIPT = textwrap.dedent(
     lists = {"g1": ["b1", "b2"], "g2": ["b1", "b2"]}
     boy_lists = {"b1": ["g1", "g2"], "b2": ["g1", "g2"]}
     graph = build_star_graph(SmpInstance.build(["g1", "g2"], ["b1", "b2"], lists, boy_lists))
-    pairs = [(0, 2), (2, 0), (1, 3), (3, 1)]
-    pair_left = dict(pairs)
-    pair_right = {v: u for u, v in pairs}
+    lb1 = graph.lb_node[0]
+    pair_left = {0: lb1, 1: lb1, graph.lg_node[0]: 0, graph.lg_node[1]: 1}
     try:
-        star._apply_chain(graph, pair_left, pair_right, 0, 1, True)
+        star._pairing(graph, pair_left, None)
         print("returned")
     except InvariantError as exc:
         print(exc)
@@ -862,9 +880,7 @@ class TestChainWalkBound:
             env=dict(os.environ, PYTHONPATH=src),
             timeout=60,
         )
-        assert result.stdout == (
-            "chain walk outgrew the listed members of its start side\n"
-        ), result.stderr
+        assert result.stdout == "pairing walk outgrew the listed boys\n", result.stderr
 
 
 class TestExtractAssignment:
@@ -957,7 +973,8 @@ class TestSolverAgainstOracle:
             repaired = repair_mismatches(star, m, stats)
             reference_stats = {}
             assert repaired == rescanning_repair(star, m, reference_stats)
-            assert stats == reference_stats
+            assert stats["initial_mismatches"] == reference_stats["initial_mismatches"]
+            assert stats["iterations"] == mismatch_components(star, m)
             assert stats["iterations"] <= stats["initial_mismatches"]
             assert len(repaired.pairs) == star.target_size
             assert find_mismatches(star, repaired).count == 0
@@ -967,40 +984,9 @@ class TestSolverAgainstOracle:
                 exercised += 1
         assert exercised > 100
 
-    def test_repair_adds_at_most_one_edge_per_row(self, monkeypatch):
-        # A vertex a chain gives a new mate is mutual from then on, so no row
-        # gains an edge twice in one pass: testing added edges against the
-        # adjacency rows keeps repair linear.  Same inputs as above.
-        real_apply_chain = star_module._apply_chain
-        gains = Counter()
-
-        def recording(star, pair_left, pair_right, *start):
-            before = dict(pair_left)
-            real_apply_chain(star, pair_left, pair_right, *start)
-            gains.update(u for u, v in pair_left.items() if before.get(u) != v)
-
-        monkeypatch.setattr(star_module, "_apply_chain", recording)
-        rng = np.random.default_rng(77)
-        exercised = 0
-        for _ in range(600):
-            inst = dense_mutual_instance(rng)
-            star = build_star_graph(inst)
-            m = shuffled_max_matching(star, rng)
-            if len(m) != star.target_size:
-                continue
-            gains.clear()
-            repair_mismatches(star, m)
-            assert max(gains.values(), default=0) <= 1, gains
-            exercised += sum(gains.values()) > 1
-        assert exercised > 100
-
-    def test_chain_walk_matches_mirrored_reference(self):
-        # Repair by chains from randomly picked mismatched edges; after
-        # every chain the single walk and the mirrored one must leave the
-        # same pair maps, over both start sides and all three endings.  No
-        # chain may create a mismatch: the mismatched left vertices shrink
-        # strictly and lose the start, which the ascending repair pass
-        # rests on.
+    def test_reference_chain_reaches_every_ending(self):
+        # The chain oracle behind rescanning_repair, run from randomly picked
+        # mismatched edges, takes both start sides and all three endings.
         rng = np.random.default_rng(78)
         endings = Counter()
         starts = Counter()
@@ -1021,14 +1007,8 @@ class TestSolverAgainstOracle:
                 else:
                     start = (v, star.listed_girls[u - n_g], False)
                 starts[start[2]] += 1
-                ref_left, ref_right = dict(pair_left), dict(pair_right)
-                reference_apply_chain(star, ref_left, ref_right, *start, endings)
-                star_module._apply_chain(star, pair_left, pair_right, *start)
-                assert (pair_left, pair_right) == (ref_left, ref_right)
-                before = {w for w, _ in mismatched}
+                reference_apply_chain(star, pair_left, pair_right, *start, endings)
                 mismatched = star_module._mismatched_edges(star, pair_left)
-                after = {w for w, _ in mismatched}
-                assert after < before and u not in after
         assert min(starts[True], starts[False]) > 1000, starts
         assert len(endings) == 3 and min(endings.values()) > 200, endings
 
