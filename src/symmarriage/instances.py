@@ -12,7 +12,10 @@ has a list and no boy does.
 Identifiers are opaque strings at the API and file boundary; solvers map
 them to dense indices internally and translate results back.  Instances
 are immutable after construction and every operation here is a pure
-function, so values can be shared freely across threads.
+function, so values can be shared freely across threads.  An instance
+built from index rows fills its name tables on first read; threads that
+read one first at the same time build equal tables and all get the one
+stored first.
 """
 
 from __future__ import annotations
@@ -74,24 +77,41 @@ class SmpInstance:
 
         The rosters are the keys of ``girl_index`` and ``boy_index``, each
         mapped to its position; the rows are in roster order.  The name
-        tables are read off the rows, so every name in them is a roster's
-        own string.
+        tables are not built here: each is read off its rows on first read
+        (see ``__getattr__``), so every name in them is a roster's own
+        string, and a caller that reads only rows never pays for them.
         """
-        girls, boys = tuple(girl_index), tuple(boy_index)
-        girl_rows, boy_rows = tuple(girl_lists_idx), tuple(boy_lists_idx)
-        instance = cls(girls, boys, _named_rows(girls, girl_rows, boys), _named_rows(boys, boy_rows, girls))
+        instance = cls.__new__(cls)
         instance.__dict__.update(
+            girls=tuple(girl_index),
+            boys=tuple(boy_index),
             girl_index=girl_index,
             boy_index=boy_index,
-            girl_lists_idx=girl_rows,
-            boy_lists_idx=boy_rows,
+            girl_lists_idx=tuple(girl_lists_idx),
+            boy_lists_idx=tuple(boy_lists_idx),
         )
         return instance
+
+    def __getattr__(self, name: str) -> dict[str, tuple[str, ...]]:
+        # Reached only for a name the instance does not hold: the name
+        # tables of an ``indexed`` instance, built once and then kept like
+        # the fields they are.  Two threads reading one first may both build
+        # it; the tables are equal and both get the one stored first.
+        if name == "girl_lists":
+            table = _named_rows(self.girls, self.girl_lists_idx, self.boys)
+        elif name == "boy_lists":
+            table = _named_rows(self.boys, self.boy_lists_idx, self.girls)
+        else:
+            raise AttributeError(
+                f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self
+            )
+        return self.__dict__.setdefault(name, table)
 
     # Index caches below assume a valid instance (no dangling references).
     # Each is built by C-level maps over whole rows, with no Python step per
     # list entry.  On the solve and check paths the loader's one pass fills
-    # the first four through ``indexed``; verify builds none of them.
+    # the first four through ``indexed`` and no name table is built; verify
+    # builds none of the caches.
 
     @cached_property
     def girl_index(self) -> dict[str, int]:

@@ -1,12 +1,16 @@
 """Command-line interface: formats, exit codes, round trips, agreement."""
 
+import copy
+import dataclasses
 import errno
 import gc
 import json
+import operator
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -829,10 +833,41 @@ def cache_values(instance):
     return [list(v.items()) if isinstance(v, dict) else v for v in values]
 
 
+def assert_lazy_tables(instance):
+    """An indexed instance holds no name table until one is read; the first
+    read gives the tables an eager translation of its rows gives, and every
+    other use of the instance sees no difference."""
+    tables = {"girl_lists", "boy_lists"}
+    assert not tables & vars(instance).keys()
+    assert not hasattr(instance, "nope")
+    copied = copy.copy(instance)
+    assert not tables & (vars(instance).keys() | vars(copied).keys())
+    eager = SmpInstance(
+        instance.girls,
+        instance.boys,
+        instances._named_rows(instance.girls, instance.girl_lists_idx, instance.boys),
+        instances._named_rows(instance.boys, instance.boy_lists_idx, instance.girls),
+    )
+    read = instance.girl_lists, instance.boy_lists
+    assert [list(t.items()) for t in read] == [list(eager.girl_lists.items()), list(eager.boy_lists.items())]
+    assert all(map(operator.is_, (instance.girl_lists, instance.boy_lists), read))
+    for table, roster, other, rows in (
+        (read[0], instance.girls, instance.boys, instance.girl_lists_idx),
+        (read[1], instance.boys, instance.girls, instance.boy_lists_idx),
+    ):
+        assert all(map(operator.is_, table, roster))
+        for names, row in zip(table.values(), rows):
+            assert all(name is other[i] for name, i in zip(names, row))
+    assert repr(instance) == repr(eager)
+    assert dataclasses.replace(instance) == copied == eager
+
+
 def assert_loads_alike(text):
     """The one pass gives the name-level path's outcome, a valid document
     takes the one pass alone, and its caches are filled and fresh."""
     got = load_outcome(one_pass_load, text)
+    if isinstance(got, SmpInstance):
+        assert_lazy_tables(got)
     want = load_outcome(reference_load, text)
     assert type(got) is type(want)
     assert loaded_snapshot(got) == loaded_snapshot(want)
@@ -1002,6 +1037,32 @@ class TestPreparedLoadOracle:
         assert got.girl_lists_idx == ((0, 1, 2), (), (0,))
         assert got.boy_lists_idx == ((2, 0), (1, 0), (), ())
 
+    def test_concurrent_first_reads_agree(self):
+        text = bench_document("planted-unsolvable", 1000)
+        instance, expected = one_pass_load(text), reference_load(text)
+        start = threading.Barrier(8)
+        seen = []
+
+        def read():
+            start.wait(timeout=30)
+            seen.append((instance.girl_lists, instance.boy_lists))
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        stored = vars(instance)["girl_lists"], vars(instance)["boy_lists"]
+        assert all(tables == stored and all(map(operator.is_, tables, stored)) for tables in seen)
+        assert loaded_snapshot(instance) == loaded_snapshot(expected)
+
 
 class TestLoadPaths:
     """solve and check load an instance in one pass; verify keeps the
@@ -1014,6 +1075,7 @@ class TestLoadPaths:
             (fileio, "validate_raw"),
             (fileio, "preprocess_refusals"),
             (instances, "_index_rows"),
+            (instances, "_named_rows"),
         ):
             def counting(*args, _name=name, _original=getattr(module, name)):
                 counts[_name] += 1
@@ -1023,13 +1085,24 @@ class TestLoadPaths:
         return counts
 
     def test_solve_and_check_skip_the_name_level_path(self, tmp_path, calls, capsys):
-        path = write_doc(tmp_path, "i.json", LOAD_BASE)
-        for method in ("star", "subproblems", "weight"):
-            assert main(["solve", path, "--method", method]) == 0
-        assert main(["check", path]) == 0
+        # Nor do they build the name tables: no route reads them.
+        for name, doc in (("i.json", LOAD_BASE), ("r.json", dict(LOAD_BASE, refusers=["b3"]))):
+            path = write_doc(tmp_path, name, doc)
+            for method in ("star", "subproblems", "weight"):
+                assert main(["solve", path, "--method", method]) == 0
+            assert main(["check", path]) == 0
         assert calls == {}
-        refusing = write_doc(tmp_path, "r.json", dict(LOAD_BASE, refusers=["b3"]))
-        assert main(["solve", refusing]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("workload, code", [("reciprocal-repair", 0), ("planted-unsolvable", 1)])
+    def test_star_solve_keeps_no_name_tables(self, workload, code, tmp_path, calls, monkeypatch, capsys):
+        path = tmp_path / "i.json"
+        path.write_text(bench_document(workload, 1000))
+        seen = []
+        load = cli._load_instance
+        monkeypatch.setattr(cli, "_load_instance", lambda p: seen.append(load(p)) or seen[-1])
+        assert main(["solve", str(path)]) == code
+        assert not {"girl_lists", "boy_lists"} & vars(seen[0]).keys()
         assert calls == {}
         capsys.readouterr()
 
