@@ -24,10 +24,9 @@ from .fileio import (
     ParseError,
     ResultDoc,
     _load_object,
-    parse_instance,
     parse_result,
     prepare_document,
-    prepare_raw,
+    prepare_named_document,
     serialize_instance,
     serialize_result,
 )
@@ -208,9 +207,9 @@ def _load_instance(path: str) -> SmpInstance | Infeasible:
 
 
 def _load_named(path: str) -> SmpInstance | Infeasible:
-    """``_load_instance`` by the name-level checks alone (verify), which
-    leave the index caches unbuilt."""
-    return prepare_raw(parse_instance(_instance_text(path)))
+    """``_load_instance`` in one pass that keeps the lists as names and
+    leaves the index caches unbuilt (verify)."""
+    return prepare_named_document(_load_object(_instance_text(path)))
 
 
 def _cmd_solve(args) -> int:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, compress, count, filterfalse, repeat
 from json.encoder import encode_basestring
+from operator import not_
 
 from .hall import HallViolator
 from .instances import (
@@ -33,6 +34,7 @@ _REQUIRED_KEYS = frozenset(_INSTANCE_KEYS[:-1])
 _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
 _LIST = {list}
+_PAIR_LENGTH = {2}
 # One [girl, boy] pair of a solved document, as json.dumps(indent=2) lays it out.
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 # A \uD800-\uDFFF escape in JSON text.
@@ -161,8 +163,25 @@ def prepare_document(doc: dict) -> SmpInstance | Infeasible:
     return prepared
 
 
-def _indexed_document(doc: dict) -> SmpInstance | Infeasible | None:
-    """The one pass of :func:`prepare_document`; None for any anomaly."""
+def prepare_named_document(doc: dict) -> SmpInstance | Infeasible:
+    """``prepare_raw`` of a parsed instance document, in one pass over its
+    list entries that keeps every row as the document's names (verify).
+
+    The name-level twin of :func:`prepare_document`: it builds no index
+    rows, and a document it finds anything wrong with goes through the same
+    name-level path, so every error message and every infeasible member is
+    that path's.
+    """
+    prepared = _named_document(doc)
+    if prepared is None:
+        prepared = prepare_raw(_raw_instance(doc))
+    return prepared
+
+
+def _document_frame(doc: dict) -> tuple[list, list, set] | None:
+    """The rosters and the set of refusers, when the document's keys,
+    version and name arrays are well formed and no refuser repeats; else
+    None."""
     if not _REQUIRED_KEYS <= doc.keys() <= _KEYS:
         return None
     version = doc["version"]
@@ -174,15 +193,77 @@ def _indexed_document(doc: dict) -> SmpInstance | Infeasible | None:
     ):
         return None
     refuse = set(refusers)
+    if len(refuse) != len(refusers):
+        return None
+    return girls, boys, refuse
+
+
+def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
+    """The one pass of :func:`prepare_named_document`; None for any anomaly."""
+    frame = _document_frame(doc)
+    if frame is None:
+        return None
+    girls, boys, refuse = frame
+    girl_set, boy_set = set(girls), set(boys)
+    if len(girl_set) != len(girls) or len(boy_set) != len(boys) or refuse - girl_set - boy_set:
+        return None  # a repeated roster name, or an unknown refuser
+    # Both tables, refusers' own lists included, are checked before any
+    # refusal can empty a row, so an emptied list never hides a bad table.
+    girl_table, boy_table = doc["girl_lists"], doc["boy_lists"]
+    if not (
+        _names_table_ok(girl_table, girl_set, boy_set)
+        and _names_table_ok(boy_table, boy_set, girl_set)
+    ):
+        return None
+    tables = []
+    for roster, table in ((girls, girl_table), (boys, boy_table)):
+        if refuse:
+            roster = filterfalse(refuse.__contains__, roster)
+        named = dict.fromkeys(roster, ())
+        named.update(zip(table, map(tuple, table.values())))
+        if refuse:
+            for refuser in refuse.intersection(table):
+                del named[refuser]  # the refusers' own rows, keyed after the roster
+            # Only the rows listing a refuser change; girls first, in roster
+            # order, as in preprocess_refusals.
+            for member in [*compress(named, map(not_, map(refuse.isdisjoint, named.values())))]:
+                row = named[member] = tuple(filterfalse(refuse.__contains__, named[member]))
+                if not row:
+                    return Infeasible(member)
+        tables.append(named)
+    return SmpInstance(*map(tuple, tables), *tables)
+
+
+def _names_table_ok(table, own: set, other: set) -> bool:
+    """Whether a list table is an object keyed by ``own`` names whose rows
+    are non-empty arrays of distinct ``other`` names."""
+    if type(table) is not dict or not table.keys() <= own:
+        return False
+    rows = table.values()
+    if not set(map(type, rows)) <= _LIST or not all(rows):
+        return False  # a row that is no array, or an empty one
+    # A row's intersection with ``other`` is shorter than the row when an
+    # entry is unknown, no string or repeated.
+    try:
+        return sum(map(len, map(other.intersection, rows))) == sum(map(len, rows))
+    except TypeError:
+        return False  # an unhashable entry
+
+
+def _indexed_document(doc: dict) -> SmpInstance | Infeasible | None:
+    """The one pass of :func:`prepare_document`; None for any anomaly."""
+    frame = _document_frame(doc)
+    if frame is None:
+        return None
+    girls, boys, refuse = frame
     girl_index, girl_lookup = _name_index(girls, refuse)
     boy_index, boy_lookup = _name_index(boys, refuse)
     if (
         len(girl_lookup) != len(girls)
         or len(boy_lookup) != len(boys)
-        or len(refuse) != len(refusers)
         or refuse.difference(girl_lookup).difference(boy_lookup)
     ):
-        return None  # a repeated roster name or refuser, or an unknown refuser
+        return None  # a repeated roster name, or an unknown refuser
     girl_rows = _document_rows(doc["girl_lists"], girl_index, girl_lookup, boy_lookup)
     boy_rows = _document_rows(doc["boy_lists"], boy_index, boy_lookup, girl_lookup)
     if girl_rows is None or boy_rows is None:
@@ -307,19 +388,17 @@ def parse_result(text: str) -> ResultDoc:
     if keys != {"status", payload_key}:
         raise ParseError(f"a {status} result must carry exactly 'status' and '{payload_key}'")
     if status == "solved":
+        # Whole-array type and length tests at C level, by exact type as in
+        # _is_string_array.
         pairs = doc["assignment"]
-        if not isinstance(pairs, list):
+        if (
+            type(pairs) is not list
+            or not set(map(type, pairs)) <= _LIST
+            or not set(map(len, pairs)) <= _PAIR_LENGTH
+            or not set(map(type, chain.from_iterable(pairs))) <= _STR
+        ):
             raise ParseError("'assignment' must be an array of [girl, boy] pairs")
-        out = []
-        for item in pairs:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(x, str) for x in item)
-            ):
-                raise ParseError("'assignment' must be an array of [girl, boy] pairs")
-            out.append((item[0], item[1]))
-        return ResultDoc("solved", assignment=tuple(out))
+        return ResultDoc("solved", assignment=tuple(map(tuple, pairs)))
     if status == "unsolvable":
         v = doc["violator"]
         if not isinstance(v, dict) or set(v) != {"side", "members", "union_size"}:

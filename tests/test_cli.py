@@ -791,6 +791,65 @@ class TestStringArrayOracle:
         assert str(got.value) == "'violator.members' must be an array of strings"
 
 
+def reference_solved_result(pairs):
+    """The per-pair loop, kept as the oracle for the C-level check of solved
+    documents."""
+    if not isinstance(pairs, list):
+        raise ParseError("'assignment' must be an array of [girl, boy] pairs")
+    out = []
+    for item in pairs:
+        if not isinstance(item, list) or len(item) != 2 or not all(isinstance(x, str) for x in item):
+            raise ParseError("'assignment' must be an array of [girl, boy] pairs")
+        out.append((item[0], item[1]))
+    return ResultDoc("solved", assignment=tuple(out))
+
+
+def result_outcome(parse, text):
+    """The parsed result, or the message of the error raised."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+ASSIGNMENT_ITEMS = st.one_of(
+    *[st.lists(st.sampled_from(["g1", "b1"]), min_size=2, max_size=2)] * 4,
+    st.lists(st.one_of(NAMES, st.integers(-1, 1), st.none(), st.booleans(), st.just(["b1"])), max_size=3),
+    st.integers(-1, 1),
+    st.none(),
+    NAMES,
+    st.dictionaries(NAMES, NAMES, max_size=2),
+)
+
+
+class TestSolvedResultOracle:
+    @given(
+        st.one_of(
+            *[st.lists(ASSIGNMENT_ITEMS, max_size=5)] * 4,
+            st.integers(-1, 1),
+            st.none(),
+            NAMES,
+            st.dictionaries(NAMES, NAMES, max_size=2),
+        )
+    )
+    @settings(deadline=None, max_examples=400)
+    def test_same_pairs_or_message(self, assignment):
+        text = json.dumps({"status": "solved", "assignment": assignment})
+        got = result_outcome(parse_result, text)
+        assert got == result_outcome(lambda t: reference_solved_result(json.loads(t)["assignment"]), text)
+        if not isinstance(got, str):
+            assert all(type(pair) is tuple for pair in got.assignment)
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [{"g1": "b1"}, [["g1"]], [["g1", "b1", "b2"]], [["g1", 1]], [["g1", None]], [("g1", "b1"), "g1b1"]],
+    )
+    def test_bad_shapes_rejected(self, assignment):
+        with pytest.raises(ParseError) as got:
+            parse_result(json.dumps({"status": "solved", "assignment": assignment}))
+        assert str(got.value) == "'assignment' must be an array of [girl, boy] pairs"
+
+
 def reference_load(text):
     """The name-level path, kept as the oracle for the one-pass loader."""
     raw = parse_instance(text)
@@ -802,6 +861,10 @@ def reference_load(text):
 
 def one_pass_load(text):
     return fileio.prepare_document(fileio._load_object(text))
+
+
+def named_load(text):
+    return fileio.prepare_named_document(fileio._load_object(text))
 
 
 def load_outcome(load, text):
@@ -863,16 +926,22 @@ def assert_lazy_tables(instance):
 
 
 def assert_loads_alike(text):
-    """The one pass gives the name-level path's outcome, a valid document
-    takes the one pass alone, and its caches are filled and fresh."""
+    """Both one-pass loaders give the name-level path's outcome and a valid
+    document takes each pass alone; the indexed pass fills its caches fresh,
+    the named pass builds none."""
     got = load_outcome(one_pass_load, text)
     if isinstance(got, SmpInstance):
         assert_lazy_tables(got)
     want = load_outcome(reference_load, text)
-    assert type(got) is type(want)
-    assert loaded_snapshot(got) == loaded_snapshot(want)
+    named = load_outcome(named_load, text)
+    for outcome in (got, named):
+        assert type(outcome) is type(want)
+        assert loaded_snapshot(outcome) == loaded_snapshot(want)
     if not isinstance(want, str):
         assert fileio._indexed_document(fileio._load_object(text)) is not None
+        assert fileio._named_document(fileio._load_object(text)) is not None
+    if isinstance(named, SmpInstance):
+        assert not set(FILLED_CACHES) & vars(named).keys()
     if isinstance(got, SmpInstance):
         assert set(FILLED_CACHES) <= vars(got).keys()
         fresh = SmpInstance(got.girls, got.boys, got.girl_lists, got.boy_lists)
@@ -1011,6 +1080,10 @@ LOAD_CASES = {
     "unknown refuser": ({"refusers": ["b1", "zz"]}, "unknown refuser 'zz'"),
     "repeated refuser": ({"refusers": ["b1", "g2", "b1"]}, "duplicate refuser 'b1'"),
     "girl's row emptied": ({"refusers": ["b1"]}, Infeasible("x")),
+    "bad boys' table behind an emptied girl's row": (
+        {"refusers": ["b1"], "boy_lists": {"b2": ["g2", "g2"]}},
+        "duplicate entry 'g2' in list of boy 'b2'",
+    ),
     "boy's row emptied": ({"refusers": ["x", "g1"]}, Infeasible("b1")),
     "both sides emptied, girls first": ({"refusers": ["b1", "g1", "g2"]}, Infeasible("x")),
 }
@@ -1065,13 +1138,15 @@ class TestPreparedLoadOracle:
 
 
 class TestLoadPaths:
-    """solve and check load an instance in one pass; verify keeps the
-    name-level checks, which build no index rows."""
+    """solve and check load an instance in one pass that indexes its rows;
+    verify in one pass that keeps them as names.  A bad document takes the
+    name-level path on every command."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
         for module, name in (
+            (fileio, "_raw_instance"),
             (fileio, "validate_raw"),
             (fileio, "preprocess_refusals"),
             (instances, "_index_rows"),
@@ -1110,7 +1185,7 @@ class TestLoadPaths:
         path = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, refusers=["zz"]))
         assert main(["solve", path]) == 65
         assert capsys.readouterr().err == "error: unknown refuser 'zz'\n"
-        assert calls == {"validate_raw": 1}
+        assert calls == {"_raw_instance": 1, "validate_raw": 1}
 
     @pytest.mark.parametrize("girl_lists, code", [({"g1": ["b1"]}, 0), ({"g1": ["b1"], "g2": ["b1"]}, 1)])
     def test_verify_leaves_index_rows_unbuilt(self, girl_lists, code, tmp_path, calls, monkeypatch, capsys):
@@ -1124,8 +1199,15 @@ class TestLoadPaths:
         )
         assert main(["verify", path, result]) == 0
         assert capsys.readouterr().out == "valid\n"
-        assert not {"girl_lists_idx", "boy_lists_idx"} & vars(seen[0]).keys()
-        assert calls == {"validate_raw": 1, "preprocess_refusals": 1}
+        assert not set(FILLED_CACHES) & vars(seen[0]).keys()
+        assert calls == {}
+
+    def test_verify_of_a_bad_document_takes_the_name_level_path(self, tmp_path, calls, capsys):
+        path = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, refusers=["zz"]))
+        result = write_doc(tmp_path, "r.json", {"status": "infeasible", "infeasible_member": "x"})
+        assert main(["verify", path, result]) == 65
+        assert capsys.readouterr() == ("", "error: unknown refuser 'zz'\n")
+        assert calls == {"_raw_instance": 1, "validate_raw": 1}
 
 
 class TestModuleEntry:

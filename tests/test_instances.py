@@ -506,3 +506,109 @@ class TestAssignmentViolations:
     def test_unknown_member_rejected(self, i1):
         bad = Assignment((("gx", "b1"),))
         assert any("unknown girl" in p for p in assignment_violations(i1, bad))
+
+    def test_unknown_list_key_is_no_member(self):
+        # SmpInstance.build keeps a list keyed by a name on no roster; pairing
+        # that name is still an unknown member.
+        inst = SmpInstance.build(("g1",), ("b1",), {"gz": ("b1",)}, {})
+        assert assignment_violations(inst, Assignment((("gz", "b1"),))) == [
+            "unknown girl 'gz' in assignment"
+        ]
+
+
+def reference_assignment_violations(instance, assignment):
+    """The per-pair loop, kept as the oracle for the all-clear test."""
+    problems = []
+    girl_set = set(instance.girls)
+    boy_set = set(instance.boys)
+    seen_g = set()
+    seen_b = set()
+    for g, b in assignment.pairs:
+        if g not in girl_set:
+            problems.append(f"unknown girl '{g}' in assignment")
+            continue
+        if b not in boy_set:
+            problems.append(f"unknown boy '{b}' in assignment")
+            continue
+        if g in seen_g:
+            problems.append(f"girl '{g}' paired twice")
+        if b in seen_b:
+            problems.append(f"boy '{b}' paired twice")
+        seen_g.add(g)
+        seen_b.add(b)
+        girl_list = instance.girl_lists[g]
+        boy_list = instance.boy_lists[b]
+        if girl_list and b not in girl_list:
+            problems.append(f"boy '{b}' is not on the list of girl '{g}'")
+        if boy_list and g not in boy_list:
+            problems.append(f"girl '{g}' is not on the list of boy '{b}'")
+    for g in instance.girls:
+        if instance.girl_lists[g] and g not in seen_g:
+            problems.append(f"listed girl '{g}' left unpaired")
+    for b in instance.boys:
+        if instance.boy_lists[b] and b not in seen_b:
+            problems.append(f"listed boy '{b}' left unpaired")
+    return problems
+
+
+@st.composite
+def forged_claims(draw):
+    """An instance and a pairing to check: a solver's pairing, that pairing
+    with one pair dropped, added or re-partnered, or pairs drawn at random,
+    any of them naming members on no roster; the instance may carry a list
+    keyed by a name on no roster."""
+    inst = draw(smp_instances())
+    girls, boys = inst.girls + ("gz",), inst.boys + ("bz",)
+    outcome = solve(inst)
+    pairs = list(outcome.pairs) if isinstance(outcome, Assignment) else []
+    edit = draw(st.sampled_from(["none", "drop", "add", "repartner", "random"]))
+    pair = st.tuples(st.sampled_from(girls), st.sampled_from(boys))
+    if edit == "drop" and pairs:
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif edit == "add":
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(pair))
+    elif edit == "repartner" and pairs:
+        i = draw(st.integers(0, len(pairs) - 1))
+        pairs[i] = (pairs[i][0], draw(st.sampled_from(boys)))
+    elif edit == "random":
+        pairs = draw(st.lists(pair, max_size=6))
+    if draw(st.booleans()):
+        stray = draw(st.lists(st.sampled_from(boys), min_size=1, max_size=2, unique=True))
+        inst = SmpInstance.build(inst.girls, inst.boys, dict(inst.girl_lists, gz=tuple(stray)), inst.boy_lists)
+    return inst, Assignment(tuple(pairs))
+
+
+# Girl g1 and boy b3 list each other one way only, so a pair can be off
+# either side's list alone; g4 and b4 are wildcards.
+FORGE = SmpInstance.build(
+    ("g1", "g2", "g3", "g4"),
+    ("b1", "b2", "b3", "b4"),
+    {"g1": ("b2",), "g3": ("b3",)},
+    {"b1": ("g2",), "b3": ("g3", "g1")},
+)
+VALID = (("g1", "b2"), ("g2", "b1"), ("g3", "b3"))
+FORGED_PAIRINGS = {
+    "valid": (VALID, True),
+    "wildcard pair": (VALID + (("g4", "b4"),), True),
+    "unknown names": (VALID + (("gz", "b9"), ("g4", "bz")), False),
+    "repeats": (VALID + (("g3", "b2"), ("g1", "b3")), False),
+    "off the girl's list": ((("g1", "b3"), ("g2", "b1"), ("g3", "b2")), False),
+    "off the boy's list": ((("g1", "b2"), ("g2", "b3"), ("g3", "b1")), False),
+    "listed members unpaired": (VALID[:2], False),
+}
+
+
+class TestAssignmentViolationsOracle:
+    @given(forged_claims())
+    @settings(deadline=None, max_examples=600)
+    def test_same_problems_as_per_pair_loop(self, claim):
+        inst, assignment = claim
+        assert assignment_violations(inst, assignment) == reference_assignment_violations(inst, assignment)
+
+    @pytest.mark.parametrize("case", list(FORGED_PAIRINGS))
+    def test_forged_pairings(self, case):
+        pairs, clear = FORGED_PAIRINGS[case]
+        assignment = Assignment(pairs)
+        expected = reference_assignment_violations(FORGE, assignment)
+        assert assignment_violations(FORGE, assignment) == expected
+        assert (expected == []) == clear
