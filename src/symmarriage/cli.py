@@ -5,9 +5,13 @@ Exit codes are part of the contract so that shell harnesses stay portable:
 * solve: 0 solved, 1 unsolvable, 2 infeasible, 3 size guard (--method weight)
 * check: 0 condition holds, 1 violator found, 2 infeasible, 3 size guard
 * verify: 0 claim valid, 1 claim invalid
+* gen: 0 instance written
 * any command: 64 usage error, 65 unreadable/malformed/invalid input,
-  70 internal error (a broken invariant of the program, never of the input)
+  70 internal error (a broken invariant of the program, never of the input;
+  for gen, also a generator that ran out of retries)
 * solve, gen: 73 the --output file cannot be written (no partial file is left)
+
+Exit codes 64 and above print one line to stderr and leave no --output file.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .fileio import (
     serialize_instance,
     serialize_result,
 )
-from .generators import gen_assignment, gen_chessboard, gen_rooks, gen_tournament
+from .generators import RetryExhaustedError, gen_assignment, gen_chessboard, gen_rooks, gen_tournament
 from .hall import SizeLimitError, hall_bicriteria
 from .instances import (
     Assignment,
@@ -146,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
-    except InvariantError as exc:
+    except (InvariantError, RetryExhaustedError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except _OutputError as exc:
@@ -252,9 +256,32 @@ def _cmd_check(args) -> int:
     return EXIT_UNSOLVABLE
 
 
-def _cmd_gen(args) -> int:
+def _gen_usage_problem(args) -> str | None:
+    """The first argument of ``gen`` that no instance can honour, or None."""
     if args.n < 1:
-        print("usage error: --n must be >= 1", file=sys.stderr)
+        return "--n must be >= 1"
+    if args.kind == "assignment":
+        if args.workers < 0 or args.tasks < 0:
+            return "--workers and --tasks must be >= 0"
+        if not 0 <= args.paid <= args.workers or not 0 <= args.mandatory <= args.tasks:
+            return "--paid/--mandatory must fit within --workers/--tasks"
+        if not 0.0 <= args.density <= 1.0:
+            return "--density must lie in [0, 1]"
+        # A paid worker lists tasks and a mandatory task lists workers; an
+        # empty side leaves nothing to list.
+        if args.paid and not args.tasks:
+            return "--paid needs --tasks >= 1"
+        if args.mandatory and not args.workers:
+            return "--mandatory needs --workers >= 1"
+    if args.seed < 0:
+        return "--seed must be >= 0"
+    return None
+
+
+def _cmd_gen(args) -> int:
+    problem = _gen_usage_problem(args)
+    if problem is not None:
+        print(f"usage error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     if args.kind == "tournament":
         instance = cmp_to_smp(gen_tournament(args.n, args.seed))
@@ -263,18 +290,6 @@ def _cmd_gen(args) -> int:
     elif args.kind == "chessboard":
         instance, _ = gen_chessboard(args.n, args.seed)
     else:
-        if args.workers < 0 or args.tasks < 0:
-            print("usage error: --workers and --tasks must be >= 0", file=sys.stderr)
-            return EXIT_USAGE
-        if not 0 <= args.paid <= args.workers or not 0 <= args.mandatory <= args.tasks:
-            print(
-                "usage error: --paid/--mandatory must fit within --workers/--tasks",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if not 0.0 <= args.density <= 1.0:
-            print("usage error: --density must lie in [0, 1]", file=sys.stderr)
-            return EXIT_USAGE
         workers = tuple(f"w{i + 1}" for i in range(args.workers))
         tasks = tuple(f"t{j + 1}" for j in range(args.tasks))
         instance = gen_assignment(

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, filterfalse, repeat
-from operator import contains, itemgetter, not_
+from itertools import compress, repeat
+from operator import contains, itemgetter
 from typing import Iterable, Mapping
 
 
@@ -227,12 +227,7 @@ def validate(instance: SmpInstance) -> list[str]:
     problems: list[str] = []
     girl_set = set(instance.girls)
     boy_set = set(instance.boys)
-    for side, roster, roster_set in (
-        ("girl", instance.girls, girl_set),
-        ("boy", instance.boys, boy_set),
-    ):
-        if len(roster_set) == len(roster):
-            continue
+    for side, roster in (("girl", instance.girls), ("boy", instance.boys)):
         seen: set[str] = set()
         for name in roster:
             if name in seen:
@@ -244,17 +239,6 @@ def validate(instance: SmpInstance) -> list[str]:
 
 
 def _validate_lists(problems, side, roster, roster_set, lists, other_side, other_set):
-    # Whole-table and whole-row checks run at C level; only when one fails
-    # does the per-entry loop below run, so problems and their order are
-    # those of the loop alone.
-    rows = lists.values()
-    if (
-        len(lists) == len(roster_set)
-        and roster_set.issuperset(lists)
-        and all(map(other_set.issuperset, rows))
-        and list(map(len, map(set, rows))) == list(map(len, rows))
-    ):
-        return
     for name in roster:
         if name not in lists:
             problems.append(f"missing list entry for {side} '{name}'")
@@ -274,8 +258,6 @@ def _validate_lists(problems, side, roster, roster_set, lists, other_side, other
 def validate_raw(raw: RawInstance) -> list[str]:
     """Validate the underlying instance plus the refusers field."""
     problems = validate(SmpInstance(raw.girls, raw.boys, raw.girl_lists, raw.boy_lists))
-    if not raw.refusers:
-        return problems
     members = set(raw.girls) | set(raw.boys)
     seen: set[str] = set()
     for r in raw.refusers:
@@ -295,27 +277,16 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
     first such member (girls before boys, roster order).  Lists emptied this
     way are never silently turned into wildcards.
     """
-    if (
-        not raw.refusers
-        and tuple(raw.girl_lists) == raw.girls
-        and tuple(raw.boy_lists) == raw.boys
-    ):
-        # Nothing to delete and every list already keyed in roster order:
-        # the loop below would rebuild the same tables.
-        return SmpInstance(raw.girls, raw.boys, raw.girl_lists, raw.boy_lists)
     refuse = set(raw.refusers)
-    girls = tuple(filterfalse(refuse.__contains__, raw.girls))
-    boys = tuple(filterfalse(refuse.__contains__, raw.boys))
+    girls = tuple(g for g in raw.girls if g not in refuse)
+    boys = tuple(b for b in raw.boys if b not in refuse)
     tables = []
     for roster, lists in ((girls, raw.girl_lists), (boys, raw.boy_lists)):
-        rows = list(map(lists.get, roster, repeat(())))
-        table = dict(zip(roster, rows))
-        # A row holding no refuser is kept as it is; only the rows that
-        # hold one are filtered, in roster order.
-        holds_refuser = map(not_, map(refuse.isdisjoint, rows))
-        for m, old in compress(zip(roster, rows), holds_refuser):
-            new = tuple(filterfalse(refuse.__contains__, old))
-            if not new:
+        table = {}
+        for m in roster:
+            old = lists.get(m, ())
+            new = tuple(p for p in old if p not in refuse)
+            if old and not new:
                 return Infeasible(m)
             table[m] = new
         tables.append(table)

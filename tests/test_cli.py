@@ -25,6 +25,7 @@ from symmarriage import (
     Infeasible,
     InvariantError,
     RawInstance,
+    RetryExhaustedError,
     SmpInstance,
     Unsolvable,
     pare_lists,
@@ -357,6 +358,42 @@ class TestGenCommand:
         assert main(["gen", "assignment", "--paid", "9", "--workers", "2"]) == 64
         assert main(["gen", "assignment", "--density", "1.5"]) == 64
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["assignment", "--workers", "1", "--tasks", "0", "--paid", "1", "--mandatory", "0"],
+                "--paid needs --tasks >= 1",
+            ),
+            (
+                ["assignment", "--workers", "0", "--tasks", "1", "--paid", "0", "--mandatory", "1"],
+                "--mandatory needs --workers >= 1",
+            ),
+            (["tournament", "--n", "1", "--seed", "-1"], "--seed must be >= 0"),
+            (["rooks", "--n", "2", "--seed", "-5"], "--seed must be >= 0"),
+            (["chessboard", "--seed", "-1"], "--seed must be >= 0"),
+            (["assignment", "--seed", "-2"], "--seed must be >= 0"),
+        ],
+    )
+    def test_arguments_no_instance_can_honour(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert main(["gen", *argv, "--output", str(out)]) == 64
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert not out.exists()
+
+    def test_retry_exhaustion_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(n, seed):
+            raise RetryExhaustedError("could not balance the -1 entries within the retry budget")
+
+        monkeypatch.setattr(cli, "gen_chessboard", exhausted)
+        out = tmp_path / "c.json"
+        assert main(["gen", "chessboard", "--output", str(out)]) == 70
+        assert capsys.readouterr() == (
+            "",
+            "internal error: could not balance the -1 entries within the retry budget\n",
+        )
+        assert not out.exists()
+
     def test_generated_files_solve_and_verify(self, tmp_path):
         for kind, n in (("tournament", 2), ("rooks", 2), ("chessboard", 1), ("assignment", 3)):
             inst = str(tmp_path / f"{kind}.json")
@@ -583,7 +620,55 @@ def solved_result(tmp_path, i1_file):
     return res
 
 
+def broken_bench_document(workload, case):
+    """A benchmark family's n = 1,000 document broken deep inside: the last
+    listed boy's row gains a repeated entry and an unknown name, or the
+    refusers gain a repeat."""
+    doc = json.loads(bench_document(workload, 1000))
+    if case == "boys-table":
+        row = doc["boy_lists"][next(reversed(doc["boy_lists"]))]
+        row += [row[0], "zz"]
+    else:
+        refusers = doc.setdefault("refusers", [])
+        refusers += [refusers[-1]] if refusers else [doc["boys"][-1]] * 2
+    return json.dumps(doc)
+
+
+BENCH_BAD_MESSAGES = {
+    ("reciprocal-repair", "boys-table"): (
+        "error: duplicate entry 'g73' in list of boy 'b999'; unknown girl 'zz' in list of boy 'b999'\n"
+    ),
+    ("reciprocal-repair", "refusers"): "error: duplicate refuser 'b999'\n",
+    ("planted-unsolvable", "boys-table"): (
+        "error: duplicate entry 'g53' in list of boy 'b999'; unknown girl 'zz' in list of boy 'b999'\n"
+    ),
+    ("planted-unsolvable", "refusers"): "error: duplicate refuser 'b943'\n",
+}
+
+
 class TestBadInput:
+    @pytest.mark.parametrize("slot", ["solve", "check", "verify-instance", "verify-result"])
+    @pytest.mark.parametrize("workload, case", list(BENCH_BAD_MESSAGES))
+    def test_bench_scale_document_broken_deep_inside(self, workload, case, slot, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(bench_document(workload, 1000))
+        bad = tmp_path / "bad.json"
+        bad.write_text(broken_bench_document(workload, case))
+        result = str(tmp_path / "r.json")
+        if slot == "verify-instance":
+            assert main(["solve", str(good), "--output", result]) in (0, 1)
+        argv = {
+            "solve": ["solve", str(bad)],
+            "check": ["check", str(bad)],
+            "verify-instance": ["verify", str(bad), result],
+            "verify-result": ["verify", str(good), str(bad)],
+        }[slot]
+        expected = BENCH_BAD_MESSAGES[workload, case]
+        if slot == "verify-result":  # an instance document is no result document
+            expected = "error: status must be one of ['solved', 'unsolvable', 'infeasible']\n"
+        assert main(argv) == 65
+        assert capsys.readouterr() == ("", expected)
+
     @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
     @pytest.mark.parametrize("slot", ["solve", "check", "verify-instance", "verify-result"])
     def test_one_line_no_traceback(self, slot, name, i1_file, tmp_path, capsys):
