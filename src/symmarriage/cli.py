@@ -38,6 +38,7 @@ from .generators import RetryExhaustedError, gen_assignment, gen_chessboard, gen
 from .hall import SizeLimitError, hall_bicriteria
 from .instances import (
     Assignment,
+    IndexRows,
     Infeasible,
     InvariantError,
     SmpInstance,
@@ -55,6 +56,9 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_INTERNAL = 70
 EXIT_CANTCREAT = 73
+
+# The flags only gen assignment takes, with their defaults.
+_ASSIGNMENT_DEFAULTS = {"workers": 4, "tasks": 4, "paid": 2, "mandatory": 2, "density": 0.5}
 
 
 class _UsageError(Exception):
@@ -101,19 +105,20 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--n", type=int, default=1, help="size parameter (default: 1)")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
     p_gen.add_argument("--output", help="instance file path (default: stdout)")
-    p_gen.add_argument("--workers", type=int, default=4, help="assignment: worker count")
-    p_gen.add_argument("--tasks", type=int, default=4, help="assignment: task count")
+    # The assignment flags default to None, so that another kind given one
+    # is told so; _cmd_gen fills in _ASSIGNMENT_DEFAULTS.
+    p_gen.add_argument("--workers", type=int, help="assignment: worker count (default: 4)")
+    p_gen.add_argument("--tasks", type=int, help="assignment: task count (default: 4)")
     p_gen.add_argument(
-        "--paid", type=int, default=2, help="assignment: the first PAID workers are paid"
+        "--paid", type=int, help="assignment: the first PAID workers are paid (default: 2)"
     )
     p_gen.add_argument(
         "--mandatory",
         type=int,
-        default=2,
-        help="assignment: the first MANDATORY tasks are mandatory",
+        help="assignment: the first MANDATORY tasks are mandatory (default: 2)",
     )
     p_gen.add_argument(
-        "--density", type=float, default=0.5, help="assignment: capability density"
+        "--density", type=float, help="assignment: capability density (default: 0.5)"
     )
     p_gen.set_defaults(handler=_cmd_gen)
 
@@ -200,9 +205,10 @@ def _instance_text(path: str) -> str:
         raise ParseError(f"cannot read '{path}': {exc}") from exc
 
 
-def _load_instance(path: str) -> SmpInstance | Infeasible:
-    """Read, validate and preprocess an instance file, indexing its lists in
-    the same pass (solve, check).
+def _load_instance(path: str) -> IndexRows | Infeasible:
+    """Read, validate and preprocess an instance file into an
+    :class:`~symmarriage.instances.IndexView` of rosters and index rows, in
+    one pass that builds no name table (solve, check).
 
     Raises ParseError for unreadable, malformed or invalid documents.
     """
@@ -275,10 +281,18 @@ def _gen_usage_problem(args) -> str | None:
             return "--mandatory needs --workers >= 1"
     if args.seed < 0:
         return "--seed must be >= 0"
+    if args.kind != "assignment":
+        for name in _ASSIGNMENT_DEFAULTS:
+            if getattr(args, name) is not None:
+                return f"--{name} applies to gen assignment only"
     return None
 
 
 def _cmd_gen(args) -> int:
+    if args.kind == "assignment":
+        for name, default in _ASSIGNMENT_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
     problem = _gen_usage_problem(args)
     if problem is not None:
         print(f"usage error: {problem}", file=sys.stderr)

@@ -19,6 +19,8 @@ from operator import not_
 
 from .hall import HallViolator
 from .instances import (
+    IndexRows,
+    IndexView,
     Infeasible,
     RawInstance,
     SmpInstance,
@@ -147,15 +149,16 @@ def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
     return preprocess_refusals(raw)
 
 
-def prepare_document(doc: dict) -> SmpInstance | Infeasible:
+def prepare_document(doc: dict) -> IndexRows | Infeasible:
     """``prepare_raw`` of a parsed instance document, in one pass over its
-    list entries that also fills the instance's index caches.
+    list entries that gives an :class:`IndexView` (solve, check).
 
     Each row is translated to the other side's indices by dict lookups,
-    and the translation is the validation.  A document it finds anything
-    wrong with goes through the name-level path instead (the schema checks
-    of :func:`parse_instance`, then :func:`prepare_raw`), so every error
-    message and every infeasible member is that path's.
+    and the translation is the validation; no name table is built.  A
+    document it finds anything wrong with goes through the name-level path
+    instead (the schema checks of :func:`parse_instance`, then
+    :func:`prepare_raw`), so every error message and every infeasible
+    member is that path's.
     """
     prepared = _indexed_document(doc)
     if prepared is None:
@@ -250,7 +253,7 @@ def _names_table_ok(table, own: set, other: set) -> bool:
         return False  # an unhashable entry
 
 
-def _indexed_document(doc: dict) -> SmpInstance | Infeasible | None:
+def _indexed_document(doc: dict) -> IndexView | Infeasible | None:
     """The one pass of :func:`prepare_document`; None for any anomaly."""
     frame = _document_frame(doc)
     if frame is None:
@@ -275,7 +278,7 @@ def _indexed_document(doc: dict) -> SmpInstance | Infeasible | None:
             emptied = _drop_refused(rows)
             if emptied is not None:
                 return Infeasible(tuple(index)[emptied])
-    return SmpInstance.indexed(girl_index, boy_index, girl_rows, boy_rows)
+    return IndexView(tuple(girl_index), tuple(boy_index), tuple(girl_rows), tuple(boy_rows))
 
 
 def _name_index(roster: list, refuse: set) -> tuple[dict[str, int], dict[str, int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .instances import Assignment, CmpInstance, SmpInstance, pared_index_lists
+from .instances import Assignment, CmpInstance, IndexRows, SmpInstance, pared_index_lists
 
 SUBSET_GUARD = 20
 BACKTRACK_GUARD = 8
@@ -70,7 +70,7 @@ def hall_condition_cmp(cmp: CmpInstance) -> HallViolator | None:
     return _first_violator(cmp.left, masks, "girls")
 
 
-def hall_bicriteria(instance: SmpInstance) -> HallViolator | None:
+def hall_bicriteria(instance: IndexRows) -> HallViolator | None:
     """Check the two-sided subset condition over pared lists.
 
     Every subset of listed girls must have pared lists covering at least as

@@ -12,17 +12,14 @@ has a list and no boy does.
 Identifiers are opaque strings at the API and file boundary; solvers map
 them to dense indices internally and translate results back.  Instances
 are immutable after construction and every operation here is a pure
-function, so values can be shared freely across threads.  An instance
-built from index rows fills its name tables on first read; threads that
-read one first at the same time build equal tables and all get the one
-stored first.
+function, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from operator import contains, itemgetter
 from typing import Iterable, Mapping
 
@@ -38,8 +35,50 @@ def _normalize_lists(
     return table
 
 
+class IndexRows:
+    """The reads the core derives from an instance's index rows.
+
+    A subclass holds the rosters ``girls`` and ``boys`` and the rows
+    ``girl_lists_idx`` and ``boy_lists_idx``: one per roster member, in
+    roster order, holding the other side's indices (empty for a wildcard).
+    Each read is built once, by C-level maps over whole rows.
+    """
+
+    girls: tuple[str, ...]
+    boys: tuple[str, ...]
+    girl_lists_idx: tuple[tuple[int, ...], ...]
+    boy_lists_idx: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def girl_list_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.girl_lists_idx))
+
+    @cached_property
+    def boy_list_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.boy_lists_idx))
+
+    @cached_property
+    def listed_girl_idx(self) -> tuple[int, ...]:
+        return tuple(compress(range(len(self.girls)), self.girl_lists_idx))
+
+    @cached_property
+    def listed_boy_idx(self) -> tuple[int, ...]:
+        return tuple(compress(range(len(self.boys)), self.boy_lists_idx))
+
+
 @dataclass(frozen=True)
-class SmpInstance:
+class IndexView(IndexRows):
+    """An instance as the core reads it: the rosters and the index rows,
+    with no name tables.  The solve and check loaders build one."""
+
+    girls: tuple[str, ...]
+    boys: tuple[str, ...]
+    girl_lists_idx: tuple[tuple[int, ...], ...]
+    boy_lists_idx: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class SmpInstance(IndexRows):
     """A two-sided instance: rosters plus per-person lists.
 
     ``girl_lists[g]`` holds the boys girl ``g`` is willing to be paired
@@ -65,53 +104,10 @@ class SmpInstance:
         b = tuple(boys)
         return cls(g, b, _normalize_lists(g, girl_lists), _normalize_lists(b, boy_lists))
 
-    @classmethod
-    def indexed(
-        cls,
-        girl_index: dict[str, int],
-        boy_index: dict[str, int],
-        girl_lists_idx: Iterable[tuple[int, ...]],
-        boy_lists_idx: Iterable[tuple[int, ...]],
-    ) -> "SmpInstance":
-        """An instance given in index form, with those four caches filled.
-
-        The rosters are the keys of ``girl_index`` and ``boy_index``, each
-        mapped to its position; the rows are in roster order.  The name
-        tables are not built here: each is read off its rows on first read
-        (see ``__getattr__``), so every name in them is a roster's own
-        string, and a caller that reads only rows never pays for them.
-        """
-        instance = cls.__new__(cls)
-        instance.__dict__.update(
-            girls=tuple(girl_index),
-            boys=tuple(boy_index),
-            girl_index=girl_index,
-            boy_index=boy_index,
-            girl_lists_idx=tuple(girl_lists_idx),
-            boy_lists_idx=tuple(boy_lists_idx),
-        )
-        return instance
-
-    def __getattr__(self, name: str) -> dict[str, tuple[str, ...]]:
-        # Reached only for a name the instance does not hold: the name
-        # tables of an ``indexed`` instance, built once and then kept like
-        # the fields they are.  Two threads reading one first may both build
-        # it; the tables are equal and both get the one stored first.
-        if name == "girl_lists":
-            table = _named_rows(self.girls, self.girl_lists_idx, self.boys)
-        elif name == "boy_lists":
-            table = _named_rows(self.boys, self.boy_lists_idx, self.girls)
-        else:
-            raise AttributeError(
-                f"'{type(self).__name__}' object has no attribute '{name}'", name=name, obj=self
-            )
-        return self.__dict__.setdefault(name, table)
-
     # Index caches below assume a valid instance (no dangling references).
-    # Each is built by C-level maps over whole rows, with no Python step per
-    # list entry.  On the solve and check paths the loader's one pass fills
-    # the first four through ``indexed`` and no name table is built; verify
-    # builds none of the caches.
+    # Each is built from the name tables by C-level maps over whole rows,
+    # with no Python step per list entry.  The solve and check loaders build
+    # an IndexView instead, and verify builds none of the caches.
 
     @cached_property
     def girl_index(self) -> dict[str, int]:
@@ -129,22 +125,6 @@ class SmpInstance:
     def boy_lists_idx(self) -> tuple[tuple[int, ...], ...]:
         return _index_rows(self.boys, self.boy_lists, self.girl_index)
 
-    @cached_property
-    def girl_list_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.girl_lists_idx))
-
-    @cached_property
-    def boy_list_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.boy_lists_idx))
-
-    @cached_property
-    def listed_girl_idx(self) -> tuple[int, ...]:
-        return tuple(compress(range(len(self.girls)), self.girl_lists_idx))
-
-    @cached_property
-    def listed_boy_idx(self) -> tuple[int, ...]:
-        return tuple(compress(range(len(self.boys)), self.boy_lists_idx))
-
 
 def _index_rows(
     roster: tuple[str, ...], lists: dict[str, tuple[str, ...]], index: dict[str, int]
@@ -152,14 +132,6 @@ def _index_rows(
     """Each roster member's list translated to the other side's indices."""
     lookup = index.__getitem__
     return tuple(tuple(map(lookup, row)) for row in map(lists.__getitem__, roster))
-
-
-def _named_rows(
-    roster: tuple[str, ...], rows: tuple[tuple[int, ...], ...], other: tuple[str, ...]
-) -> dict[str, tuple[str, ...]]:
-    """The inverse of ``_index_rows``: each member's row as the other side's names."""
-    # Indexing a list is quicker than indexing a tuple.
-    return dict(zip(roster, map(tuple, map(map, repeat(list(other).__getitem__), rows))))
 
 
 @dataclass(frozen=True)
@@ -294,7 +266,7 @@ def preprocess_refusals(raw: RawInstance) -> SmpInstance | Infeasible:
 
 
 def pared_index_lists(
-    instance: SmpInstance,
+    instance: IndexRows,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Index-level paring of both sides, girls first: one row per roster
     member, empty rows for wildcards.

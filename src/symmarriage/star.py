@@ -32,7 +32,7 @@ from .bipartite import (
     max_matching,
 )
 from .hall import HallViolator
-from .instances import Assignment, InvariantError, SmpInstance
+from .instances import Assignment, IndexRows, InvariantError
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class StarGraph:
     node per listed girl; right vertices mirror this for the boys.
     """
 
-    instance: SmpInstance
+    instance: IndexRows
     graph: BipartiteGraph
     listed_girls: tuple[int, ...]
     listed_boys: tuple[int, ...]
@@ -89,7 +89,7 @@ class Unsolvable:
         return self.violator.side
 
 
-def build_star_graph(instance: SmpInstance) -> StarGraph:
+def build_star_graph(instance: IndexRows) -> StarGraph:
     """Construct the four-group graph; node order follows the rosters."""
     return _build_star(instance)[0]
 
@@ -99,7 +99,7 @@ _LABELLED = (-1).__ne__
 
 
 def _build_star(
-    instance: SmpInstance,
+    instance: IndexRows,
 ) -> tuple[StarGraph, tuple[tuple[int, ...], ...], list[int]]:
     """The star graph, plus the boys' pared rows over component B's labels.
 
@@ -325,7 +325,7 @@ def _match_listed(
 
 
 def _components(
-    instance: SmpInstance, boys_left: bool
+    instance: IndexRows, boys_left: bool
 ) -> HallViolator | tuple[StarGraph, dict[int, int]]:
     """The decision core: match the star graph's two components apart.
 
@@ -376,7 +376,7 @@ def _components(
     return star, pair_left
 
 
-def unsolvable_violator(instance: SmpInstance) -> HallViolator | None:
+def unsolvable_violator(instance: IndexRows) -> HallViolator | None:
     """Certificate over pared lists: the girls' violator, else the boys', or
     None when both one-sided subproblems are matchable."""
     outcome = _components(instance, boys_left=True)
@@ -392,13 +392,13 @@ def _repaired(outcome, stats: dict | None = None) -> Assignment | Unsolvable:
     return Assignment(tuple((girls[g], boys[b]) for g, b in _pairing(star, pair_left, stats)))
 
 
-def solve(instance: SmpInstance, repair_stats: dict | None = None) -> Assignment | Unsolvable:
+def solve(instance: IndexRows, repair_stats: dict | None = None) -> Assignment | Unsolvable:
     """Decide the instance by matching the star graph's two components apart,
     then repair the union mismatch-free and read off the pairing."""
     return _repaired(_components(instance, boys_left=False), repair_stats)
 
 
-def solve_via_subproblems(instance: SmpInstance) -> Assignment | Unsolvable:
+def solve_via_subproblems(instance: IndexRows) -> Assignment | Unsolvable:
     """As :func:`solve`, but with component B matched boys-left, as the
     boys' one-sided subproblem.  Only the pairing may differ from ``solve``."""
     return _repaired(_components(instance, boys_left=True))

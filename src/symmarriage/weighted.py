@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hall import SizeLimitError
-from .instances import Assignment, InvariantError, SmpInstance
+from .instances import Assignment, IndexRows, InvariantError
 
 # Largest side the weight route accepts: it builds dense n x n tables and
 # runs an O(n^3) assignment, so larger instances belong to the star route.
@@ -38,7 +38,7 @@ class WeightedBipartiteGraph:
             raise ValueError("weights must be 0, 1 or 2")
 
 
-def build_weighted(instance: SmpInstance) -> WeightedBipartiteGraph:
+def build_weighted(instance: IndexRows) -> WeightedBipartiteGraph:
     """Weight matrix of the instance, padded square with zeros.
 
     Raises SizeLimitError, before any table is allocated, when a side has
@@ -134,7 +134,7 @@ def hungarian_max_weight(
     return total, tuple((i, columns[i]) for i in range(n))
 
 
-def _max_weight(instance: SmpInstance):
+def _max_weight(instance: IndexRows):
     """Weight graph, max-weight pairs, and whether the total meets the threshold."""
     graph = build_weighted(instance)
     total, pairs = hungarian_max_weight(graph)
@@ -144,12 +144,12 @@ def _max_weight(instance: SmpInstance):
     return graph, pairs, total == target
 
 
-def solvable_via_weight(instance: SmpInstance) -> bool:
+def solvable_via_weight(instance: IndexRows) -> bool:
     """True iff the maximum matching weight reaches the listed-member count."""
     return _max_weight(instance)[2]
 
 
-def weighted_assignment(instance: SmpInstance) -> Assignment | None:
+def weighted_assignment(instance: IndexRows) -> Assignment | None:
     """Pairing read off the max-weight matching when it meets the threshold.
 
     Positive-weight matched pairs between real (non-padding) vertices form

@@ -1,16 +1,12 @@
 """Command-line interface: formats, exit codes, round trips, agreement."""
 
-import copy
-import dataclasses
 import errno
 import gc
 import json
-import operator
 import os
 import subprocess
 import sys
 import textwrap
-import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -35,6 +31,7 @@ from symmarriage import (
 )
 from symmarriage import cli, fileio, instances
 from symmarriage.cli import main
+from symmarriage.instances import IndexView
 from symmarriage.weighted import WEIGHT_GUARD
 from symmarriage.fileio import (
     ParseError,
@@ -373,6 +370,15 @@ class TestGenCommand:
             (["rooks", "--n", "2", "--seed", "-5"], "--seed must be >= 0"),
             (["chessboard", "--seed", "-1"], "--seed must be >= 0"),
             (["assignment", "--seed", "-2"], "--seed must be >= 0"),
+            (
+                ["tournament", "--n", "1", "--density", "5", "--workers", "-2"],
+                "--workers applies to gen assignment only",
+            ),
+            (
+                ["rooks", "--n", "1", "--paid", "-3", "--mandatory", "99"],
+                "--paid applies to gen assignment only",
+            ),
+            (["chessboard", "--density", "0.5"], "--density applies to gen assignment only"),
         ],
     )
     def test_arguments_no_instance_can_honour(self, argv, message, tmp_path, capsys):
@@ -960,8 +966,21 @@ def load_outcome(load, text):
         return str(exc)
 
 
+def named_rows(roster, rows, other):
+    """Each member's index row as the other side's names, keyed in roster
+    order: an index view read back as the name tables of a name-level load."""
+    return {member: tuple(other[i] for i in row) for member, row in zip(roster, rows)}
+
+
 def loaded_snapshot(outcome):
     """Everything observable about a load outcome, key order included."""
+    if isinstance(outcome, IndexView):
+        return (
+            outcome.girls,
+            outcome.boys,
+            list(named_rows(outcome.girls, outcome.girl_lists_idx, outcome.boys).items()),
+            list(named_rows(outcome.boys, outcome.boy_lists_idx, outcome.girls).items()),
+        )
     if not isinstance(outcome, SmpInstance):
         return outcome
     return (
@@ -976,61 +995,29 @@ FILLED_CACHES = ("girl_index", "boy_index", "girl_lists_idx", "boy_lists_idx")
 
 
 def cache_values(instance):
-    """The four index caches, dicts with their key order."""
-    values = [getattr(instance, name) for name in FILLED_CACHES]
-    return [list(v.items()) if isinstance(v, dict) else v for v in values]
-
-
-def assert_lazy_tables(instance):
-    """An indexed instance holds no name table until one is read; the first
-    read gives the tables an eager translation of its rows gives, and every
-    other use of the instance sees no difference."""
-    tables = {"girl_lists", "boy_lists"}
-    assert not tables & vars(instance).keys()
-    assert not hasattr(instance, "nope")
-    copied = copy.copy(instance)
-    assert not tables & (vars(instance).keys() | vars(copied).keys())
-    eager = SmpInstance(
-        instance.girls,
-        instance.boys,
-        instances._named_rows(instance.girls, instance.girl_lists_idx, instance.boys),
-        instances._named_rows(instance.boys, instance.boy_lists_idx, instance.girls),
-    )
-    read = instance.girl_lists, instance.boy_lists
-    assert [list(t.items()) for t in read] == [list(eager.girl_lists.items()), list(eager.boy_lists.items())]
-    assert all(map(operator.is_, (instance.girl_lists, instance.boy_lists), read))
-    for table, roster, other, rows in (
-        (read[0], instance.girls, instance.boys, instance.girl_lists_idx),
-        (read[1], instance.boys, instance.girls, instance.boy_lists_idx),
-    ):
-        assert all(map(operator.is_, table, roster))
-        for names, row in zip(table.values(), rows):
-            assert all(name is other[i] for name, i in zip(names, row))
-    assert repr(instance) == repr(eager)
-    assert dataclasses.replace(instance) == copied == eager
+    """The two index row caches."""
+    return [instance.girl_lists_idx, instance.boy_lists_idx]
 
 
 def assert_loads_alike(text):
     """Both one-pass loaders give the name-level path's outcome and a valid
-    document takes each pass alone; the indexed pass fills its caches fresh,
-    the named pass builds none."""
+    document takes each pass alone; the indexed pass gives an IndexView
+    holding the rows a fresh name-level instance builds, the named pass
+    builds no index cache."""
     got = load_outcome(one_pass_load, text)
-    if isinstance(got, SmpInstance):
-        assert_lazy_tables(got)
     want = load_outcome(reference_load, text)
     named = load_outcome(named_load, text)
+    assert type(got) is (IndexView if isinstance(want, SmpInstance) else type(want))
+    assert type(named) is type(want)
     for outcome in (got, named):
-        assert type(outcome) is type(want)
         assert loaded_snapshot(outcome) == loaded_snapshot(want)
     if not isinstance(want, str):
         assert fileio._indexed_document(fileio._load_object(text)) is not None
         assert fileio._named_document(fileio._load_object(text)) is not None
     if isinstance(named, SmpInstance):
         assert not set(FILLED_CACHES) & vars(named).keys()
-    if isinstance(got, SmpInstance):
-        assert set(FILLED_CACHES) <= vars(got).keys()
-        fresh = SmpInstance(got.girls, got.boys, got.girl_lists, got.boy_lists)
-        assert cache_values(got) == cache_values(fresh)
+        # The reference load is fresh: its rows are built from its names.
+        assert cache_values(got) == cache_values(want)
     return got
 
 
@@ -1182,7 +1169,7 @@ class TestPreparedLoadOracle:
 
     @pytest.mark.parametrize("workload", ["reciprocal-repair", "planted-unsolvable"])
     def test_same_outcome_on_bench_families(self, workload):
-        assert isinstance(assert_loads_alike(bench_document(workload, 1000)), SmpInstance)
+        assert isinstance(assert_loads_alike(bench_document(workload, 1000)), IndexView)
 
     @pytest.mark.parametrize("case", list(LOAD_CASES))
     def test_explicit_case(self, case):
@@ -1194,32 +1181,6 @@ class TestPreparedLoadOracle:
         got = assert_loads_alike(json.dumps(LOAD_BASE))
         assert got.girl_lists_idx == ((0, 1, 2), (), (0,))
         assert got.boy_lists_idx == ((2, 0), (1, 0), (), ())
-
-    def test_concurrent_first_reads_agree(self):
-        text = bench_document("planted-unsolvable", 1000)
-        instance, expected = one_pass_load(text), reference_load(text)
-        start = threading.Barrier(8)
-        seen = []
-
-        def read():
-            start.wait(timeout=30)
-            seen.append((instance.girl_lists, instance.boy_lists))
-
-        threads = [threading.Thread(target=read) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(seen) == 8
-        stored = vars(instance)["girl_lists"], vars(instance)["boy_lists"]
-        assert all(tables == stored and all(map(operator.is_, tables, stored)) for tables in seen)
-        assert loaded_snapshot(instance) == loaded_snapshot(expected)
 
 
 class TestLoadPaths:
@@ -1235,7 +1196,6 @@ class TestLoadPaths:
             (fileio, "validate_raw"),
             (fileio, "preprocess_refusals"),
             (instances, "_index_rows"),
-            (instances, "_named_rows"),
         ):
             def counting(*args, _name=name, _original=getattr(module, name)):
                 counts[_name] += 1
@@ -1254,15 +1214,36 @@ class TestLoadPaths:
         assert calls == {}
         capsys.readouterr()
 
-    @pytest.mark.parametrize("workload, code", [("reciprocal-repair", 0), ("planted-unsolvable", 1)])
-    def test_star_solve_keeps_no_name_tables(self, workload, code, tmp_path, calls, monkeypatch, capsys):
-        path = tmp_path / "i.json"
-        path.write_text(bench_document(workload, 1000))
-        seen = []
-        load = cli._load_instance
-        monkeypatch.setattr(cli, "_load_instance", lambda p: seen.append(load(p)) or seen[-1])
-        assert main(["solve", str(path)]) == code
-        assert not {"girl_lists", "boy_lists"} & vars(seen[0]).keys()
+    @pytest.mark.parametrize(
+        "workload, solve_code, guarded_code",
+        [(None, 0, 0), ("reciprocal-repair", 0, 3), ("planted-unsolvable", 1, 3)],
+    )
+    def test_solve_and_check_are_handed_an_index_view(
+        self, workload, solve_code, guarded_code, tmp_path, calls, monkeypatch, capsys
+    ):
+        # At n = 1,000 the weight route and check stop at their size guards,
+        # after the instance is handed over.
+        if workload is None:
+            path = write_doc(tmp_path, "i.json", dict(LOAD_BASE, refusers=["b3"]))
+        else:
+            path = str(tmp_path / "i.json")
+            Path(path).write_text(bench_document(workload, 1000))
+        handed = Counter()
+        for name in ("solve", "solve_via_subproblems", "weighted_assignment", "hall_bicriteria"):
+            def recording(instance, _name=name, _route=getattr(cli, name)):
+                handed[_name, type(instance)] += 1
+                return _route(instance)
+
+            monkeypatch.setattr(cli, name, recording)
+        for method, code in (("star", solve_code), ("subproblems", solve_code), ("weight", guarded_code)):
+            assert main(["solve", path, "--method", method]) == code
+        assert main(["check", path]) == guarded_code
+        assert handed == {
+            ("solve", IndexView): 1,
+            ("solve_via_subproblems", IndexView): 1,
+            ("weighted_assignment", IndexView): 1,
+            ("hall_bicriteria", IndexView): 1,
+        }
         assert calls == {}
         capsys.readouterr()
 

@@ -70,8 +70,12 @@ def assert_robust(argv, output=None):
 
 @st.composite
 def gen_argvs(draw):
-    argv = ["gen", draw(st.sampled_from(GEN_KINDS))]
-    argv += ["--n", str(draw(st.integers(1, 4))), "--seed", str(draw(st.integers(-3, 20)))]
+    kind = draw(st.sampled_from(GEN_KINDS))
+    argv = ["gen", kind, "--n", str(draw(st.integers(1, 4))), "--seed", str(draw(st.integers(-3, 20)))]
+    # Only assignment takes the count and density flags; the other kinds get
+    # them half the time, so that they also reach a written instance.
+    if kind != "assignment" and draw(st.booleans()):
+        return argv
     for flag in GEN_COUNTS:
         if draw(st.booleans()):
             argv += [flag, str(draw(st.integers(-2, 4)))]
@@ -89,6 +93,8 @@ class TestGenFuzz:
     @example(["gen", "assignment", "--workers", "0", "--tasks", "1", "--paid", "0", "--mandatory", "1"])
     @example(["gen", "tournament", "--n", "1", "--seed", "-1"])
     @example(["gen", "assignment", "--density", "1.5"])
+    @example(["gen", "tournament", "--n", "1", "--density", "5", "--workers", "-2"])
+    @example(["gen", "rooks", "--n", "1", "--paid", "-3", "--mandatory", "99"])
     @settings(deadline=None, max_examples=300)
     def test_documented_exit_one_line_no_partial_file(self, argv):
         with tempfile.TemporaryDirectory() as directory:
@@ -152,15 +158,14 @@ class TestDocumentFuzz:
             assert_robust(["verify", instance, claim])
 
 
-@pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
-def test_byte_contract_holds_under_fixed_hash_seeds(hash_seed, tmp_path):
-    # The digests are pinned whatever hash seed the interpreter draws; these
-    # runs fix three seeds so the contract does not rest on one random draw.
+def run_pinned_digest_tests(tmp_path, hash_seed, *flags):
+    """Run the digest-pinning tests in a child interpreter started with
+    ``flags`` under ``PYTHONHASHSEED=hash_seed``; assert that they pass."""
     src = str(Path(symmarriage.__file__).resolve().parent.parent)
     paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     done = subprocess.run(
         [
-            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            sys.executable, *flags, "-m", "pytest", "-q", "-p", "no:cacheprovider",
             "--basetemp", str(tmp_path / "runs"),
             "tests/test_star.py::TestGoldenOutput",
             "tests/test_cli.py::TestDeterminism",
@@ -172,3 +177,17 @@ def test_byte_contract_holds_under_fixed_hash_seeds(hash_seed, tmp_path):
     )
     assert done.returncode == 0, done.stdout.decode()[-3000:]
     assert b"3 passed" in done.stdout
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
+def test_byte_contract_holds_under_fixed_hash_seeds(hash_seed, tmp_path):
+    # The digests are pinned whatever hash seed the interpreter draws; these
+    # runs fix three seeds so the contract does not rest on one random draw.
+    run_pinned_digest_tests(tmp_path, hash_seed)
+
+
+def test_byte_contract_holds_under_optimize(tmp_path):
+    # python -O strips the package's assert statements (the source rules
+    # forbid them); the answers and their bytes must not change.  pytest
+    # still rewrites the tests' own asserts into explicit checks.
+    run_pinned_digest_tests(tmp_path, "0", "-O")

@@ -1,5 +1,7 @@
 """Instance model: validation, refusals, paring, the one-sided embedding."""
 
+import json
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,8 @@ from symmarriage import (
     validate,
     validate_raw,
 )
+from symmarriage.fileio import prepare_document, serialize_instance
+from symmarriage.instances import IndexView
 
 from .conftest import smp_instances
 
@@ -302,11 +306,32 @@ def index_caches(inst):
     return caches
 
 
+# The reads an IndexView holds or derives from its rows.
+VIEW_READS = (
+    "girl_lists_idx",
+    "boy_lists_idx",
+    "girl_list_sets",
+    "boy_list_sets",
+    "listed_girl_idx",
+    "listed_boy_idx",
+)
+
+
 class TestIndexCacheOracle:
     @given(smp_instances())
     @settings(deadline=None, max_examples=300)
     def test_same_caches_as_generators(self, inst):
         assert index_caches(inst) == reference_index_caches(inst)
+
+    @given(smp_instances())
+    @settings(deadline=None, max_examples=300)
+    def test_loaded_view_derives_the_same_reads(self, inst):
+        view = prepare_document(json.loads(serialize_instance(inst)))
+        assert type(view) is IndexView
+        reference = reference_index_caches(inst)
+        assert {name: getattr(view, name) for name in VIEW_READS} == {
+            name: reference[name] for name in VIEW_READS
+        }
 
     def test_repeated_roster_name_keeps_its_last_index(self):
         inst = SmpInstance.build(["g1", "g2", "g1"], ["b1"], {"g1": ["b1"]}, {"b1": ["g1"]})

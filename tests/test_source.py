@@ -81,3 +81,26 @@ def test_no_unreferenced_private_definitions():
         and defined not in referenced
     ]
     assert dead == [], f"private definitions no module reads: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_attribute_hooks_or_hand_written_instance_state(path):
+    # An instance holds its fields and its cached properties, nothing else:
+    # no class answers missing attributes through ``__getattr__``, and no
+    # code fills or reads an instance's ``__dict__`` (directly or by vars()).
+    tree = _tree(path)
+    hooks = [
+        f"{node.name}.__getattr__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "__getattr__"
+    ]
+    by_hand = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars")
+    ]
+    assert hooks == [], f"{path.name} defines {hooks}"
+    assert by_hand == [], f"{path.name} touches an instance's __dict__ at lines {by_hand}"
