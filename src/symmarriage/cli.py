@@ -170,14 +170,6 @@ def entry() -> None:
     sys.exit(main())
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"'{path}' is not UTF-8 text: {exc}") from exc
-
-
 def _emit(path: str | None, text: str) -> None:
     """Write ``text`` to ``path`` or stdout; raise ``_OutputError`` when the
     file cannot be written, removing a regular file left partly written."""
@@ -198,28 +190,34 @@ def _emit(path: str | None, text: str) -> None:
         raise _OutputError(f"cannot write '{path}': {exc}") from exc
 
 
-def _instance_text(path: str) -> str:
+def _input_text(path: str) -> str:
+    """The text of an instance or result file; ParseError when it cannot be
+    read or is not UTF-8."""
     try:
-        return _read_text(path)
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"'{path}' is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read '{path}': {exc}") from exc
 
 
 def _load_instance(path: str) -> IndexRows | Infeasible:
     """Read, validate and preprocess an instance file into an
-    :class:`~symmarriage.instances.IndexView` of rosters and index rows, in
-    one pass that builds no name table (solve, check).
+    :class:`~symmarriage.instances.IndexView` of rosters and index rows
+    (solve, check): the checked pass, then the rows translated to indices;
+    no name table is built.
 
     Raises ParseError for unreadable, malformed or invalid documents.
     """
     # The text is dropped once json.loads returns, before the pass starts.
-    return prepare_document(_load_object(_instance_text(path)))
+    return prepare_document(_load_object(_input_text(path)))
 
 
 def _load_named(path: str) -> SmpInstance | Infeasible:
-    """``_load_instance`` in one pass that keeps the lists as names and
-    leaves the index caches unbuilt (verify)."""
-    return prepare_named_document(_load_object(_instance_text(path)))
+    """``_load_instance`` with the rows kept as names (verify): the same
+    checked pass, and the index caches left unbuilt."""
+    return prepare_named_document(_load_object(_input_text(path)))
 
 
 def _cmd_solve(args) -> int:
@@ -320,11 +318,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     prepared = _load_named(args.instance)
-    try:
-        result = parse_result(_read_text(args.result))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    result = parse_result(_input_text(args.result))
     problems = _verify_claim(prepared, result)
     if problems:
         for p in problems:

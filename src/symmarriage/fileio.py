@@ -150,12 +150,13 @@ def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
 
 
 def prepare_document(doc: dict) -> IndexRows | Infeasible:
-    """``prepare_raw`` of a parsed instance document, in one pass over its
-    list entries that gives an :class:`IndexView` (solve, check).
+    """``prepare_raw`` of a parsed instance document, as an
+    :class:`IndexView` (solve, check).
 
-    Each row is translated to the other side's indices by dict lookups,
-    and the translation is the validation; no name table is built.  A
-    document it finds anything wrong with goes through the name-level path
+    The checked pass (:func:`_checked_tables`) validates the document and
+    applies its refusals; each kept row is then translated to the other
+    side's indices by dict lookups, and no name table is built.  A document
+    the pass finds anything wrong with goes through the name-level path
     instead (the schema checks of :func:`parse_instance`, then
     :func:`prepare_raw`), so every error message and every infeasible
     member is that path's.
@@ -167,13 +168,14 @@ def prepare_document(doc: dict) -> IndexRows | Infeasible:
 
 
 def prepare_named_document(doc: dict) -> SmpInstance | Infeasible:
-    """``prepare_raw`` of a parsed instance document, in one pass over its
-    list entries that keeps every row as the document's names (verify).
+    """``prepare_raw`` of a parsed instance document, with every row kept
+    as the document's names (verify).
 
-    The name-level twin of :func:`prepare_document`: it builds no index
-    rows, and a document it finds anything wrong with goes through the same
-    name-level path, so every error message and every infeasible member is
-    that path's.
+    The name-level twin of :func:`prepare_document`: the same checked pass,
+    then each kept row becomes a tuple keyed by its member; no index row is
+    built.  A document the pass finds anything wrong with goes through the
+    same name-level path, so every error message and every infeasible
+    member is that path's.
     """
     prepared = _named_document(doc)
     if prepared is None:
@@ -181,10 +183,16 @@ def prepare_named_document(doc: dict) -> SmpInstance | Infeasible:
     return prepared
 
 
-def _document_frame(doc: dict) -> tuple[list, list, set] | None:
-    """The rosters and the set of refusers, when the document's keys,
-    version and name arrays are well formed and no refuser repeats; else
-    None."""
+def _checked_tables(doc: dict) -> list | Infeasible | None:
+    """The one checked pass behind both loaders: ``[girls, girl_rows, boys,
+    boy_rows]`` for the kept members, in roster order, or the first member
+    (girls first) whose list the refusals empty; None for any anomaly.
+
+    A row is the document's own array less its refused names, or ``()`` for
+    a wildcard.  Both tables, the refusers' own lists included, are checked
+    before any refusal can empty a row, so an emptied list never hides a
+    bad table.
+    """
     if not _REQUIRED_KEYS <= doc.keys() <= _KEYS:
         return None
     version = doc["version"]
@@ -195,46 +203,33 @@ def _document_frame(doc: dict) -> tuple[list, list, set] | None:
         or not all(map(_is_string_array, (girls, boys, refusers)))
     ):
         return None
-    refuse = set(refusers)
-    if len(refuse) != len(refusers):
-        return None
-    return girls, boys, refuse
-
-
-def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
-    """The one pass of :func:`prepare_named_document`; None for any anomaly."""
-    frame = _document_frame(doc)
-    if frame is None:
-        return None
-    girls, boys, refuse = frame
-    girl_set, boy_set = set(girls), set(boys)
-    if len(girl_set) != len(girls) or len(boy_set) != len(boys) or refuse - girl_set - boy_set:
-        return None  # a repeated roster name, or an unknown refuser
-    # Both tables, refusers' own lists included, are checked before any
-    # refusal can empty a row, so an emptied list never hides a bad table.
+    refuse, girl_set, boy_set = set(refusers), set(girls), set(boys)
+    if (
+        len(refuse) != len(refusers)
+        or len(girl_set) != len(girls)
+        or len(boy_set) != len(boys)
+        or refuse - girl_set - boy_set
+    ):
+        return None  # a repeated name, or an unknown refuser
     girl_table, boy_table = doc["girl_lists"], doc["boy_lists"]
     if not (
         _names_table_ok(girl_table, girl_set, boy_set)
         and _names_table_ok(boy_table, boy_set, girl_set)
     ):
         return None
-    tables = []
+    checked = []
     for roster, table in ((girls, girl_table), (boys, boy_table)):
         if refuse:
-            roster = filterfalse(refuse.__contains__, roster)
-        named = dict.fromkeys(roster, ())
-        named.update(zip(table, map(tuple, table.values())))
+            roster = [*filterfalse(refuse.__contains__, roster)]
+        rows = [*map(table.get, roster, repeat(()))]
         if refuse:
-            for refuser in refuse.intersection(table):
-                del named[refuser]  # the refusers' own rows, keyed after the roster
-            # Only the rows listing a refuser change; girls first, in roster
-            # order, as in preprocess_refusals.
-            for member in [*compress(named, map(not_, map(refuse.isdisjoint, named.values())))]:
-                row = named[member] = tuple(filterfalse(refuse.__contains__, named[member]))
-                if not row:
-                    return Infeasible(member)
-        tables.append(named)
-    return SmpInstance(*map(tuple, tables), *tables)
+            # Only the rows listing a refuser change, in roster order.
+            for i in [*compress(count(), map(not_, map(refuse.isdisjoint, rows)))]:
+                rows[i] = [*filterfalse(refuse.__contains__, rows[i])]
+                if not rows[i]:
+                    return Infeasible(roster[i])
+        checked += roster, rows
+    return checked
 
 
 def _names_table_ok(table, own: set, other: set) -> bool:
@@ -253,80 +248,34 @@ def _names_table_ok(table, own: set, other: set) -> bool:
         return False  # an unhashable entry
 
 
+def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
+    """The pass of :func:`prepare_named_document`; None for any anomaly."""
+    checked = _checked_tables(doc)
+    if type(checked) is not list:
+        return checked  # None, or Infeasible
+    girls, girl_rows, boys, boy_rows = checked
+    return SmpInstance(
+        tuple(girls),
+        tuple(boys),
+        dict(zip(girls, map(tuple, girl_rows))),
+        dict(zip(boys, map(tuple, boy_rows))),
+    )
+
+
 def _indexed_document(doc: dict) -> IndexView | Infeasible | None:
-    """The one pass of :func:`prepare_document`; None for any anomaly."""
-    frame = _document_frame(doc)
-    if frame is None:
-        return None
-    girls, boys, refuse = frame
-    girl_index, girl_lookup = _name_index(girls, refuse)
-    boy_index, boy_lookup = _name_index(boys, refuse)
-    if (
-        len(girl_lookup) != len(girls)
-        or len(boy_lookup) != len(boys)
-        or refuse.difference(girl_lookup).difference(boy_lookup)
-    ):
-        return None  # a repeated roster name, or an unknown refuser
-    girl_rows = _document_rows(doc["girl_lists"], girl_index, girl_lookup, boy_lookup)
-    boy_rows = _document_rows(doc["boy_lists"], boy_index, boy_lookup, girl_lookup)
-    if girl_rows is None or boy_rows is None:
-        return None
-    if refuse:
-        # Only the rows listing a refuser change; girls first, as in
-        # preprocess_refusals.
-        for rows, index in ((girl_rows, girl_index), (boy_rows, boy_index)):
-            emptied = _drop_refused(rows)
-            if emptied is not None:
-                return Infeasible(tuple(index)[emptied])
-    return IndexView(tuple(girl_index), tuple(boy_index), tuple(girl_rows), tuple(boy_rows))
-
-
-def _name_index(roster: list, refuse: set) -> tuple[dict[str, int], dict[str, int]]:
-    """``name -> index`` over the roster less its refusers, and the same map
-    with each refused name sent to its own negative number.  A repeated
-    name leaves the second map shorter than the roster."""
-    kept = list(filterfalse(refuse.__contains__, roster)) if refuse else roster
-    index = dict(zip(kept, range(len(kept))))
-    if len(kept) == len(roster):
-        return index, index
-    lookup = index.copy()
-    lookup.update(zip(filter(refuse.__contains__, roster), count(-1, -1)))
-    return index, lookup
-
-
-def _document_rows(table, index: dict, own: dict, other: dict) -> list[tuple[int, ...]] | None:
-    """A side's list table as rows of the other side's indices, one per
-    member ``index`` keeps, in its order; None when the table breaks a
-    rule.  ``own`` and ``other`` map every name of the two rosters, refused
-    ones included."""
-    if type(table) is not dict or not table.keys() <= own.keys():
-        return None  # not an object, or a key naming no member
-    entries = table.values()
-    if not set(map(type, entries)) <= _LIST or not all(entries):
-        return None  # a row that is no array, or an empty one
-    lists = list(map(table.get, index, repeat(())))
-    if len(own) > len(index):
-        # The refusers' own lists are checked as well, then dropped.
-        lists += map(table.__getitem__, table.keys() - index.keys())
-    try:
-        rows = list(map(tuple, map(map, repeat(other.__getitem__), lists)))
-    except (KeyError, TypeError):
-        return None  # an unknown or non-string entry, or an unhashable one
-    if list(map(len, map(set, rows))) != list(map(len, rows)):
-        return None  # a repeated entry
-    del rows[len(index):]
-    return rows
-
-
-def _drop_refused(rows: list[tuple[int, ...]]) -> int | None:
-    """Delete the refused (negative) entries from the rows holding one, in
-    order; the first row that this empties, or None."""
-    for i, row in enumerate(rows):
-        if row and min(row) < 0:
-            rows[i] = tuple(filter((0).__le__, row))
-            if not rows[i]:
-                return i
-    return None
+    """The pass of :func:`prepare_document`; None for any anomaly.  Every
+    entry of a checked row is a kept name, so each lookup succeeds."""
+    checked = _checked_tables(doc)
+    if type(checked) is not list:
+        return checked  # None, or Infeasible
+    girls, girl_rows, boys, boy_rows = checked
+    girl_index, boy_index = dict(zip(girls, count())), dict(zip(boys, count()))
+    return IndexView(
+        tuple(girls),
+        tuple(boys),
+        tuple(map(tuple, map(map, repeat(boy_index.__getitem__), girl_rows))),
+        tuple(map(tuple, map(map, repeat(girl_index.__getitem__), boy_rows))),
+    )
 
 
 def serialize_instance(instance: SmpInstance | RawInstance) -> str:

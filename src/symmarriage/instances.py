@@ -175,9 +175,6 @@ class Assignment:
 
     pairs: tuple[tuple[str, str], ...]
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
 
 class InvariantError(AssertionError):
     """An internal invariant guarding an answer failed; the answer is not trusted.

@@ -692,6 +692,22 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)])
+    @pytest.mark.parametrize("slot", ["solve", "verify-instance", "verify-result"])
+    def test_unreadable_file_named_alike(self, slot, name, code, i1_file, tmp_path, capsys):
+        # An instance file and a result file that cannot be read give the
+        # same line, naming the path.
+        bad = bad_input(tmp_path, name)
+        argv = {
+            "solve": ["solve", bad],
+            "verify-instance": ["verify", bad, solved_result(tmp_path, i1_file)],
+            "verify-result": ["verify", i1_file, bad],
+        }[slot]
+        capsys.readouterr()
+        assert main(argv) == 65
+        reason = f"[Errno {code}] {os.strerror(code)}: '{bad}'"
+        assert capsys.readouterr() == ("", f"error: cannot read '{bad}': {reason}\n")
+
     @pytest.mark.parametrize("target", ["missing-directory", "directory"])
     @pytest.mark.parametrize("command", ["solve", "gen"])
     def test_unwritable_output(self, command, target, i1_file, tmp_path, capsys):
@@ -1184,9 +1200,9 @@ class TestPreparedLoadOracle:
 
 
 class TestLoadPaths:
-    """solve and check load an instance in one pass that indexes its rows;
-    verify in one pass that keeps them as names.  A bad document takes the
-    name-level path on every command."""
+    """Every command loads an instance through one checked pass: solve and
+    check then index its rows, verify keeps them as names.  A bad document
+    takes the name-level path on every command."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1274,6 +1290,49 @@ class TestLoadPaths:
         assert main(["verify", path, result]) == 65
         assert capsys.readouterr() == ("", "error: unknown refuser 'zz'\n")
         assert calls == {"_raw_instance": 1, "validate_raw": 1}
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The order in which the checked pass and the name-level path run."""
+        order = []
+        for name in ("_checked_tables", "_raw_instance"):
+            def recording(doc, _name=name, _original=getattr(fileio, name)):
+                order.append(_name)
+                return _original(doc)
+
+            monkeypatch.setattr(fileio, name, recording)
+        return order
+
+    @pytest.mark.parametrize(
+        "refusers, code", [([], 0), (["b3"], 0), (["b1"], 2)], ids=["plain", "refuser", "emptied"]
+    )
+    def test_each_command_runs_the_checked_pass_once(self, refusers, code, tmp_path, passes, capsys):
+        path = write_doc(tmp_path, "i.json", dict(LOAD_BASE, refusers=refusers))
+        result = str(tmp_path / "r.json")
+        runs = [
+            (["solve", path, "--method", method, "--output", result], code)
+            for method in ("star", "subproblems", "weight")
+        ]
+        runs += [(["check", path], code), (["verify", path, result], 0)]
+        for argv, expected in runs:
+            passes.clear()
+            assert main(argv) == expected
+            assert passes == ["_checked_tables"], argv
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["solve", "check", "verify"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"refusers": ["zz"]}, "unknown refuser 'zz'"), LOAD_CASES["repeated entry"]],
+        ids=["refusers", "boys-table"],
+    )
+    def test_bad_document_runs_the_checked_pass_first(self, change, message, command, tmp_path, passes, capsys):
+        path = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, **change))
+        result = write_doc(tmp_path, "r.json", {"status": "infeasible", "infeasible_member": "x"})
+        argv = {"solve": ["solve", path], "check": ["check", path], "verify": ["verify", path, result]}[command]
+        assert main(argv) == 65
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert passes == ["_checked_tables", "_raw_instance"]
 
 
 class TestModuleEntry:

@@ -104,3 +104,25 @@ def test_no_attribute_hooks_or_hand_written_instance_state(path):
     ]
     assert hooks == [], f"{path.name} defines {hooks}"
     assert by_hand == [], f"{path.name} touches an instance's __dict__ at lines {by_hand}"
+
+
+def test_one_checked_pass_reads_the_list_tables():
+    # fileio checks the list tables in two places only: the checked pass
+    # behind both one-pass loaders, and the name-level reference that
+    # writes every error message.  A loader that reads a table itself has
+    # forked the checks.
+    tree = _tree(Path(symmarriage.__file__).parent / "fileio.py")
+    readers = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript):
+                key = node.slice
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                key = node.args[0] if node.args else None
+            else:
+                continue
+            if isinstance(key, ast.Constant) and key.value in ("girl_lists", "boy_lists"):
+                readers.add(function.name)
+    assert readers == {"_raw_instance", "_checked_tables"}
