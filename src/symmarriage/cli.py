@@ -205,13 +205,15 @@ def _input_text(path: str) -> str:
 def _load_instance(path: str) -> IndexRows | Infeasible:
     """Read, validate and preprocess an instance file into an
     :class:`~symmarriage.instances.IndexView` of rosters and index rows
-    (solve, check): the checked pass, then the rows translated to indices;
-    no name table is built.
+    (solve, check): the checked pass, fed one top-level member at a time,
+    translates each list table to indices as it arrives; no name table is
+    built.
 
     Raises ParseError for unreadable, malformed or invalid documents.
     """
-    # The text is dropped once json.loads returns, before the pass starts.
-    return prepare_document(_load_object(_input_text(path)))
+    # The loader reads the file itself, so it holds the only reference to
+    # the text and frees it before the last list table is translated.
+    return prepare_document(functools.partial(_input_text, path))
 
 
 def _load_named(path: str) -> SmpInstance | Infeasible:

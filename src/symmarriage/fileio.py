@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, repeat
+from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring
 from operator import not_
 
@@ -41,6 +43,8 @@ _PAIR_LENGTH = {2}
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 # A \uD800-\uDFFF escape in JSON text.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# The end of an object document after its last member's value.
+_CLOSING = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*\Z")
 
 
 class ParseError(ValueError):
@@ -149,21 +153,27 @@ def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
     return preprocess_refusals(raw)
 
 
-def prepare_document(doc: dict) -> IndexRows | Infeasible:
-    """``prepare_raw`` of a parsed instance document, as an
+def prepare_document(read: Callable[[], str]) -> IndexRows | Infeasible:
+    """``prepare_raw`` of an instance document's text, as an
     :class:`IndexView` (solve, check).
 
-    The checked pass (:func:`_checked_tables`) validates the document and
-    applies its refusals; each kept row is then translated to the other
-    side's indices by dict lookups, and no name table is built.  A document
-    the pass finds anything wrong with goes through the name-level path
-    instead (the schema checks of :func:`parse_instance`, then
-    :func:`prepare_raw`), so every error message and every infeasible
-    member is that path's.
+    ``read()`` gives the text; the loader keeps the only reference to it.
+    The walk (:func:`_indexed_text`) parses the top-level members one at a
+    time, so only one list table's names are alive at once, and frees the
+    text before the last table is translated.  A document it hands back
+    goes through the whole-document path: :func:`_load_object`, the same
+    checked pass over the parsed document, and for a document that pass
+    finds anything wrong with, the schema checks of :func:`parse_instance`
+    and then :func:`prepare_raw`, so every error message and every
+    infeasible member is the name-level path's.
     """
-    prepared = _indexed_document(doc)
+    box = [read()]
+    prepared = _indexed_text(box)
     if prepared is None:
-        prepared = prepare_raw(_raw_instance(doc))
+        doc = _load_object(box.pop())
+        prepared = _indexed_document(doc)
+        if prepared is None:
+            prepared = prepare_raw(_raw_instance(doc))
     return prepared
 
 
@@ -172,10 +182,10 @@ def prepare_named_document(doc: dict) -> SmpInstance | Infeasible:
     as the document's names (verify).
 
     The name-level twin of :func:`prepare_document`: the same checked pass,
-    then each kept row becomes a tuple keyed by its member; no index row is
-    built.  A document the pass finds anything wrong with goes through the
-    same name-level path, so every error message and every infeasible
-    member is that path's.
+    fed the parsed document's members, then each kept row becomes a tuple
+    keyed by its member; no index row is built.  A document the pass finds
+    anything wrong with goes through the same name-level path, so every
+    error message and every infeasible member is that path's.
     """
     prepared = _named_document(doc)
     if prepared is None:
@@ -183,25 +193,71 @@ def prepare_named_document(doc: dict) -> SmpInstance | Infeasible:
     return prepared
 
 
-def _checked_tables(doc: dict) -> list | Infeasible | None:
+def _checked_tables(members, refusers, translate=None) -> list | Infeasible | None:
     """The one checked pass behind both loaders: ``[girls, girl_rows, boys,
     boy_rows]`` for the kept members, in roster order, or the first member
     (girls first) whose list the refusals empty; None for any anomaly.
 
-    A row is the document's own array less its refused names, or ``()`` for
-    a wildcard.  Both tables, the refusers' own lists included, are checked
-    before any refusal can empty a row, so an emptied list never hides a
-    bad table.
+    ``members`` gives the document's top-level (key, value) pairs, in any
+    order, and ``refusers`` the refusers to apply until the document's own
+    arrive; it returns None when these differ from refusers it has already
+    applied to a list table.  A row is the document's own array less its
+    refused names, or ``()`` for a wildcard.  A list table is checked,
+    filtered and dropped as soon as both rosters are known.  Given
+    ``translate(rows, other)``, the first table handled is translated at
+    once, before the next member is parsed; the other is returned as a
+    list, for the caller to translate once it has freed what it parsed.
+    Both tables, the refusers' own lists included, are checked before any
+    refusal can empty a row, so an emptied list never hides a bad table.
     """
-    if not _REQUIRED_KEYS <= doc.keys() <= _KEYS:
+    frame = {}  # each member met; a list table only until it is handled
+    rosters = None  # each side's kept roster and name set, once both pass
+    rows = {}  # side -> its kept rows, or the first member they empty
+    for key, value in members:
+        if key not in _KEYS:
+            return None
+        if key == "refusers" and value != refusers:
+            if rows:
+                return None  # a list table was filtered by other refusers
+            refusers, rosters = value, None
+        frame[key] = value
+        del value
+        if rosters is None:
+            if "girls" not in frame or "boys" not in frame:
+                continue
+            checked = _kept_rosters(frame["girls"], frame["boys"], refusers)
+            if checked is None:
+                return None
+            refuse, rosters = checked
+        for side, field in enumerate(("girl_lists", "boy_lists")):
+            if side in rows or field not in frame:
+                continue
+            (roster, own), (other_roster, other) = rosters[side], rosters[1 - side]
+            kept = _kept_rows(frame[field], roster, own, other, refuse)
+            frame[field] = None
+            if kept is None:
+                return None
+            if translate is not None and not rows and type(kept) is list:
+                kept = translate(kept, other_roster)
+            rows[side] = kept
+    if not _REQUIRED_KEYS <= frame.keys():
         return None
-    version = doc["version"]
-    girls, boys, refusers = doc["girls"], doc["boys"], doc.get("refusers", [])
-    if (
-        type(version) is not int
-        or version != INSTANCE_VERSION
-        or not all(map(_is_string_array, (girls, boys, refusers)))
-    ):
+    version = frame["version"]
+    if type(version) is not int or version != INSTANCE_VERSION:
+        return None
+    if frame.get("refusers", []) != refusers:
+        return None  # refusers read ahead that the walk never met
+    for side in (0, 1):
+        if type(rows[side]) is Infeasible:
+            return rows[side]
+    return [rosters[0][0], rows[0], rosters[1][0], rows[1]]
+
+
+def _kept_rosters(girls, boys, refusers):
+    """``(refused names, ((kept girls, girl names), (kept boys, boy
+    names)))``, or None when a roster or the refusers are no string arrays,
+    a name repeats or a refuser is on no roster."""
+    if not all(map(_is_string_array, (girls, boys, refusers))):
         return None
     refuse, girl_set, boy_set = set(refusers), set(girls), set(boys)
     if (
@@ -210,26 +266,27 @@ def _checked_tables(doc: dict) -> list | Infeasible | None:
         or len(boy_set) != len(boys)
         or refuse - girl_set - boy_set
     ):
-        return None  # a repeated name, or an unknown refuser
-    girl_table, boy_table = doc["girl_lists"], doc["boy_lists"]
-    if not (
-        _names_table_ok(girl_table, girl_set, boy_set)
-        and _names_table_ok(boy_table, boy_set, girl_set)
-    ):
         return None
-    checked = []
-    for roster, table in ((girls, girl_table), (boys, boy_table)):
-        if refuse:
-            roster = [*filterfalse(refuse.__contains__, roster)]
-        rows = [*map(table.get, roster, repeat(()))]
-        if refuse:
-            # Only the rows listing a refuser change, in roster order.
-            for i in [*compress(count(), map(not_, map(refuse.isdisjoint, rows)))]:
-                rows[i] = [*filterfalse(refuse.__contains__, rows[i])]
-                if not rows[i]:
-                    return Infeasible(roster[i])
-        checked += roster, rows
-    return checked
+    if refuse:
+        girls = [*filterfalse(refuse.__contains__, girls)]
+        boys = [*filterfalse(refuse.__contains__, boys)]
+    return refuse, ((girls, girl_set), (boys, boy_set))
+
+
+def _kept_rows(table, roster, own: set, other: set, refuse: set) -> list | Infeasible | None:
+    """One side's rows for its kept ``roster``, less their refused names,
+    or the first member whose row the refusals empty; None when the list
+    table fails :func:`_names_table_ok`."""
+    if not _names_table_ok(table, own, other):
+        return None
+    rows = [*map(table.get, roster, repeat(()))]
+    if refuse:
+        # Only the rows listing a refuser change, in roster order.
+        for i in [*compress(count(), map(not_, map(refuse.isdisjoint, rows)))]:
+            rows[i] = [*filterfalse(refuse.__contains__, rows[i])]
+            if not rows[i]:
+                return Infeasible(roster[i])
+    return rows
 
 
 def _names_table_ok(table, own: set, other: set) -> bool:
@@ -248,9 +305,16 @@ def _names_table_ok(table, own: set, other: set) -> bool:
         return False  # an unhashable entry
 
 
+def _index_rows(rows, other) -> tuple:
+    """Each row as the other side's indices.  Every entry of a checked row
+    is a kept name, so each lookup succeeds."""
+    index = dict(zip(other, count()))
+    return tuple(map(tuple, map(map, repeat(index.__getitem__), rows)))
+
+
 def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
     """The pass of :func:`prepare_named_document`; None for any anomaly."""
-    checked = _checked_tables(doc)
+    checked = _checked_tables(doc.items(), doc.get("refusers", []))
     if type(checked) is not list:
         return checked  # None, or Infeasible
     girls, girl_rows, boys, boy_rows = checked
@@ -263,19 +327,105 @@ def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
 
 
 def _indexed_document(doc: dict) -> IndexView | Infeasible | None:
-    """The pass of :func:`prepare_document`; None for any anomaly.  Every
-    entry of a checked row is a kept name, so each lookup succeeds."""
-    checked = _checked_tables(doc)
+    """The whole-document pass of :func:`prepare_document`; None for any
+    anomaly."""
+    return _index_view(_checked_tables(doc.items(), doc.get("refusers", [])))
+
+
+def _indexed_text(box: list) -> IndexView | Infeasible | None:
+    """The walk of :func:`prepare_document` on the text in ``box``: each
+    member parsed by :func:`_text_members` goes into the checked pass as it
+    arrives.  The refusers are read ahead from the text's tail, where every
+    writer puts them; the pass takes the document's own when the walk meets
+    them before any list table.  ``box`` is emptied once the walk has
+    ended.  None, the text left in ``box``, for any anomaly, refusers met
+    between the list tables included."""
+    text = box[0]
+    if _SURROGATE_ESCAPE.search(text):
+        return None  # _load_object tests the whole document for a lone surrogate
+    # The C scanner json.loads(text, object_pairs_hook=...) parses with.
+    scan_once = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
+    refusers = _refusers_ahead(text, scan_once)
+    members = _text_members(text, scan_once)
+    del text
+    try:
+        checked = _checked_tables(members, refusers, _index_rows)
+    except _Unwalkable:
+        return None
+    if checked is not None:
+        box.clear()  # the walk has ended: the text goes before the last table is translated
+    return _index_view(checked)
+
+
+def _index_view(checked: list | Infeasible | None) -> IndexView | Infeasible | None:
+    """The checked pass's outcome as an :class:`IndexView`, each side's
+    rows still in list form translated."""
     if type(checked) is not list:
         return checked  # None, or Infeasible
     girls, girl_rows, boys, boy_rows = checked
-    girl_index, boy_index = dict(zip(girls, count())), dict(zip(boys, count()))
-    return IndexView(
-        tuple(girls),
-        tuple(boys),
-        tuple(map(tuple, map(map, repeat(boy_index.__getitem__), girl_rows))),
-        tuple(map(tuple, map(map, repeat(girl_index.__getitem__), boy_rows))),
-    )
+    if type(girl_rows) is list:
+        girl_rows = _index_rows(girl_rows, boys)
+    if type(boy_rows) is list:
+        boy_rows = _index_rows(boy_rows, girls)
+    return IndexView(tuple(girls), tuple(boys), girl_rows, boy_rows)
+
+
+def _skip_space(text: str, idx: int) -> int:
+    return WHITESPACE.match(text, idx).end()
+
+
+def _refusers_ahead(text: str, scan_once):
+    """The value of a ``"refusers"`` member that closes the document, read
+    from the text's tail; ``[]`` when the tail holds none."""
+    at = text.rfind('"refusers"')
+    if at >= 0:
+        idx = _skip_space(text, at + len('"refusers"'))
+        if text.startswith(":", idx):
+            try:
+                value, idx = scan_once(text, _skip_space(text, idx + 1))
+            except (ValueError, RecursionError, StopIteration):
+                return []
+            if _CLOSING.match(text, idx):
+                return value
+    return []
+
+
+class _Unwalkable(Exception):
+    """The text is no object document whose members the walk reads as
+    ``json.loads`` reads them."""
+
+
+def _text_members(text: str, scan_once):
+    """Yield the top-level members of an object document one (key, value)
+    pair at a time, each value parsed by ``scan_once`` as ``json.loads``
+    parses it.  Raises :class:`_Unwalkable` where ``json.loads`` would not
+    give the same members: a syntax error, trailing data, a repeated key,
+    an integer past the int-string limit or nesting too deep."""
+    keys = set()
+    try:
+        idx = _skip_space(text, 0)
+        if not text.startswith("{", idx):
+            raise _Unwalkable
+        idx = _skip_space(text, idx + 1)
+        while text.startswith('"', idx):
+            key, idx = scanstring(text, idx + 1, True)
+            idx = _skip_space(text, idx)
+            if key in keys or not text.startswith(":", idx):
+                raise _Unwalkable
+            keys.add(key)
+            value, idx = scan_once(text, _skip_space(text, idx + 1))
+            yield key, value
+            del value  # before the next member is parsed
+            idx = _skip_space(text, idx)
+            if text.startswith(",", idx):
+                idx = _skip_space(text, idx + 1)
+            elif _CLOSING.match(text, idx):
+                return
+            else:
+                break
+    except (ValueError, RecursionError, StopIteration) as exc:
+        raise _Unwalkable from exc
+    raise _Unwalkable
 
 
 def serialize_instance(instance: SmpInstance | RawInstance) -> str:

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symmarriage
@@ -967,7 +967,7 @@ def reference_load(text):
 
 
 def one_pass_load(text):
-    return fileio.prepare_document(fileio._load_object(text))
+    return fileio.prepare_document(lambda: text)
 
 
 def named_load(text):
@@ -1015,11 +1015,14 @@ def cache_values(instance):
     return [instance.girl_lists_idx, instance.boy_lists_idx]
 
 
-def assert_loads_alike(text):
-    """Both one-pass loaders give the name-level path's outcome and a valid
-    document takes each pass alone; the indexed pass gives an IndexView
-    holding the rows a fresh name-level instance builds, the named pass
-    builds no index cache."""
+def assert_loads_alike(text, check_walk=True):
+    """Both one-pass loaders give the name-level path's outcome, and a valid
+    document takes each pass alone: the named pass, the indexed pass over
+    the parsed document and, unless ``check_walk`` is false, the indexed
+    walk over the text when the refusers are empty, the last member or
+    before both list tables.  The indexed load gives an IndexView holding
+    the rows a fresh name-level instance builds, the named pass builds no
+    index cache."""
     got = load_outcome(one_pass_load, text)
     want = load_outcome(reference_load, text)
     named = load_outcome(named_load, text)
@@ -1028,8 +1031,16 @@ def assert_loads_alike(text):
     for outcome in (got, named):
         assert loaded_snapshot(outcome) == loaded_snapshot(want)
     if not isinstance(want, str):
-        assert fileio._indexed_document(fileio._load_object(text)) is not None
-        assert fileio._named_document(fileio._load_object(text)) is not None
+        doc = json.loads(text)
+        assert fileio._indexed_document(doc) is not None
+        assert fileio._named_document(doc) is not None
+        keys = [*doc]
+        if check_walk and (
+            not doc.get("refusers")
+            or keys[-1] == "refusers"
+            or keys.index("refusers") < min(keys.index("girl_lists"), keys.index("boy_lists"))
+        ):
+            assert fileio._indexed_text([text]) is not None
     if isinstance(named, SmpInstance):
         assert not set(FILLED_CACHES) & vars(named).keys()
         # The reference load is fresh: its rows are built from its names.
@@ -1049,18 +1060,30 @@ def instance_documents(draw):
     """Instance documents of three kinds: valid ones (with refusers that may
     empty a list); valid ones with one fault put in, so each rule is met
     alone; and ones drawn from small name pools, which may break several
-    rules at once, frame faults included."""
+    rules at once, frame faults included.  Each is laid out with its
+    top-level keys in a drawn order and a drawn indentation, so the
+    refusers are not always last."""
+    return laid_out(draw, draw(instance_objects()))
+
+
+def laid_out(draw, doc):
+    keys = draw(st.permutations(list(doc)))
+    indent = draw(st.sampled_from([2, None, 0, "\t"]))
+    return json.dumps({key: doc[key] for key in keys}, indent=indent)
+
+
+@st.composite
+def instance_objects(draw):
     kind = draw(st.sampled_from(["valid", "one fault", "pooled"]))
     if kind == "pooled":
-        return json.dumps(draw(pooled_documents()))
+        return draw(pooled_documents())
     inst = draw(smp_instances())
     members = inst.girls + inst.boys
     refusers = draw(st.lists(st.sampled_from(members), unique=True, max_size=3)) if members else []
     raw = RawInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists, tuple(refusers))
-    text = serialize_instance(raw)
+    doc = json.loads(serialize_instance(raw))
     if kind == "valid":
-        return text
-    doc = json.loads(text)
+        return doc
     rows = [row for field in ("girl_lists", "boy_lists") for row in doc[field].values()]
     fault = draw(st.sampled_from(["repeated entry", "unknown entry", "odd entry", "list key", "roster"]))
     if fault == "roster" or not rows:
@@ -1078,7 +1101,7 @@ def instance_documents(draw):
             "odd entry": ODD_ENTRIES,
         }[fault]
         row.insert(draw(st.integers(0, len(row))), draw(entry))
-    return json.dumps(doc)
+    return doc
 
 
 @st.composite
@@ -1177,8 +1200,14 @@ LOAD_CASES = {
 }
 
 
+# Refusals empty girl x's row, and the boys' table is bad: no load may
+# report the emptied row before it has checked the boys' table.
+EMPTIED_ROW_BAD_TABLE = dict(LOAD_BASE, refusers=["b1"], boy_lists={"b2": ["g2", "g2"]})
+
+
 class TestPreparedLoadOracle:
     @given(instance_documents())
+    @example(json.dumps(EMPTIED_ROW_BAD_TABLE))
     @settings(deadline=None, max_examples=600)
     def test_same_outcome_as_name_level_path(self, text):
         assert_loads_alike(text)
@@ -1199,10 +1228,208 @@ class TestPreparedLoadOracle:
         assert got.boy_lists_idx == ((2, 0), (1, 0), (), ())
 
 
+# A small canonical instance with a refuser, as the writers lay it out: the
+# refuser b3 leaves g1's row and the boys' roster.
+FRAME_DOC = dict(LOAD_BASE, refusers=["b3"])
+FRAME_TEXT = json.dumps(FRAME_DOC, indent=2) + "\n"
+FRAME_COMPACT = json.dumps(FRAME_DOC, separators=(",", ":"))
+# Girls and boys named "refusers": one a refuser, one listed.
+NAMED_REFUSERS = {
+    "version": 1,
+    "girls": ["g1", "refusers"],
+    "boys": ["b1", "refusers"],
+    "girl_lists": {"refusers": ["b1", "refusers"]},
+    "boy_lists": {"refusers": ["g1", "refusers"], "b1": ["refusers"]},
+}
+
+
+def reordered(doc, *keys):
+    return json.dumps({key: doc[key] for key in keys}, indent=2)
+
+
+FRAME_CASES = {
+    "canonical": FRAME_TEXT,
+    "leading BOM": "\ufeff" + FRAME_TEXT,
+    "trailing data": FRAME_TEXT + "x",
+    "trailing object": FRAME_TEXT + "{}",
+    "trailing data, no refusers": json.dumps(LOAD_BASE, indent=2) + "\nx",
+    "extra closing brace, no refusers": json.dumps(LOAD_BASE) + "}",
+    "trailing data, empty refusers": json.dumps(dict(LOAD_BASE, refusers=[])) + " []",
+    "trailing comma": FRAME_TEXT[: FRAME_TEXT.rindex("]") + 1] + ",\n}\n",
+    "comma after the opening brace": "{," + FRAME_COMPACT[1:],
+    "empty object": "{}",
+    "array document": "[]",
+    "compact": FRAME_COMPACT,
+    "tab indent": json.dumps(FRAME_DOC, indent="\t"),
+    "CRLF lines": FRAME_TEXT.replace("\n", "\r\n"),
+    "surrounding whitespace": " \t\r\n" + FRAME_TEXT + " \t\r\n\n",
+    "spaced separators": json.dumps(FRAME_DOC, separators=(" , ", " : ")),
+    "form feed after": FRAME_TEXT + "\f",
+    "no-break space before": "\u00a0" + FRAME_TEXT,
+    "duplicate version": FRAME_TEXT.replace("{\n", '{\n  "version": 1,\n', 1),
+    "duplicate refusers": FRAME_COMPACT[:-1] + ',"refusers":["b3"]}',
+    "unknown key": FRAME_COMPACT[:-1] + ',"comment":"x"}',
+    "unknown key before the refusers": FRAME_COMPACT.replace('"refusers"', '"comment":1,"refusers"'),
+    "refusers inside a trailing unknown member": FRAME_COMPACT[:-1] + ',"comment":{"refusers":["b1"]}}',
+    "refusers key escaped": FRAME_TEXT.replace('"refusers"', '"refuser\\u0073"'),
+    "refusers key escaped first": FRAME_TEXT.replace('"refusers"', '"\\u0072efusers"'),
+    "refusers as a string value at the end": FRAME_COMPACT[:-1] + ',"comment":"\\"refusers\\": []"}',
+    "roster member named refusers": reordered(
+        dict(NAMED_REFUSERS, refusers=["g1"]), "version", "girls", "boys", "girl_lists", "boy_lists", "refusers"
+    ),
+    "refuser named refusers": json.dumps(dict(NAMED_REFUSERS, refusers=["refusers"]), indent=2),
+    "table key named refusers, table last": reordered(
+        dict(NAMED_REFUSERS, refusers=["g1"]), "version", "girls", "boys", "refusers", "girl_lists", "boy_lists"
+    ),
+    "table key named refusers, no refusers": json.dumps(NAMED_REFUSERS, indent=2),
+    "refusers first": reordered(FRAME_DOC, "refusers", "version", "girls", "boys", "girl_lists", "boy_lists"),
+    "refusers in the middle": reordered(FRAME_DOC, "version", "girls", "refusers", "boys", "girl_lists", "boy_lists"),
+    "refusers between the tables": reordered(
+        FRAME_DOC, "version", "girls", "boys", "girl_lists", "refusers", "boy_lists"
+    ),
+    "refusers between the tables, boys' first": reordered(
+        dict(FRAME_DOC, refusers=["g1"]), "version", "girls", "boys", "boy_lists", "refusers", "girl_lists"
+    ),
+    "empty refusers in the middle": reordered(
+        dict(FRAME_DOC, refusers=[]), "version", "girls", "refusers", "boys", "girl_lists", "boy_lists"
+    ),
+    "tables before the rosters": reordered(FRAME_DOC, "girl_lists", "boy_lists", "version", "girls", "boys", "refusers"),
+    "boys' table first, refusers first": reordered(
+        FRAME_DOC, "refusers", "boy_lists", "girl_lists", "boys", "version", "girls"
+    ),
+    "surrogate escape in a name": FRAME_TEXT.replace('"b2"', '"\\ud800"'),
+    "surrogate pair in a name": FRAME_TEXT.replace('"b2"', '"\\ud83d\\ude00"'),
+    "deep nesting in the refusers": FRAME_COMPACT[:-1] + "," + '"refusers":' + "[" * 100_000 + "]" * 100_000 + "}",
+    "emptied row": json.dumps(dict(LOAD_BASE, refusers=["b1"]), indent=2),
+    "emptied row, boys' table first": reordered(
+        dict(LOAD_BASE, refusers=["b1"]), "version", "girls", "boys", "boy_lists", "girl_lists", "refusers"
+    ),
+    "emptied row before a bad boys' table": json.dumps(EMPTIED_ROW_BAD_TABLE, indent=2),
+    "emptied row after a bad boys' table": reordered(
+        EMPTIED_ROW_BAD_TABLE, "version", "girls", "boys", "boy_lists", "girl_lists", "refusers"
+    ),
+}
+
+
+def command_outcomes(text, tmp_path, capsys):
+    """(exit code, stdout, stderr) of solve and check on a document."""
+    path = tmp_path / "walked.json"
+    path.write_text(text, encoding="utf-8")
+    outcomes = []
+    for argv in (["solve", str(path)], ["check", str(path)]):
+        code = main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def reference_outcomes(text, tmp_path, capsys):
+    """What solve and check give when they load like the name-level path."""
+    want = load_outcome(reference_load, text)
+    if isinstance(want, str):
+        return [(65, "", f"error: {want}\n")] * 2
+    if isinstance(want, Infeasible):
+        return [
+            (2, serialize_result(ResultDoc("infeasible", infeasible_member=want.member)), ""),
+            (2, f"infeasible: refusals empty the list of '{want.member}'\n", ""),
+        ]
+    return command_outcomes(serialize_instance(want), tmp_path, capsys)
+
+
+class TestMemberWalk:
+    """solve and check parse an instance one top-level member at a time,
+    with the refusers read ahead from the tail or taken when met before the
+    list tables; every layout, and any text json.loads would not read as
+    the same members, gives the name-level path's outcome and message."""
+
+    @pytest.mark.parametrize("case", list(FRAME_CASES))
+    def test_same_outcome_as_name_level_path(self, case, tmp_path, capsys):
+        text = FRAME_CASES[case]
+        # Some cases lay out valid documents the walk hands back.
+        assert_loads_alike(text, check_walk=False)
+        assert command_outcomes(text, tmp_path, capsys) == reference_outcomes(text, tmp_path, capsys)
+
+    def test_every_prefix(self, tmp_path, capsys):
+        for end in range(len(FRAME_TEXT)):
+            text = FRAME_TEXT[:end]
+            assert_loads_alike(text)
+            assert command_outcomes(text, tmp_path, capsys) == reference_outcomes(text, tmp_path, capsys), end
+
+    @pytest.mark.parametrize("case", ["emptied row before a bad boys' table", "emptied row after a bad boys' table"])
+    def test_emptied_row_waits_for_the_boys_table(self, case, tmp_path, capsys):
+        message = "error: duplicate entry 'g2' in list of boy 'b2'\n"
+        assert command_outcomes(FRAME_CASES[case], tmp_path, capsys) == [(65, "", message)] * 2
+
+
+def memory_document(n=2000, entries=20):
+    """An instance of ``n`` girls and ``n`` boys who each list ``entries``
+    partners, with 1% of the members refusing, written as the writers lay
+    it out (refusers last)."""
+    girls = [f"g{i}" for i in range(n)]
+    boys = [f"b{i}" for i in range(n)]
+    doc = {
+        "version": 1,
+        "girls": girls,
+        "boys": boys,
+        "girl_lists": {g: [boys[(i + 97 * k) % n] for k in range(entries)] for i, g in enumerate(girls)},
+        "boy_lists": {b: [girls[(i + 89 * k) % n] for k in range(entries)] for i, b in enumerate(boys)},
+        "refusers": girls[::100] + boys[50::100],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+def traced_peak(call):
+    """``call()``'s result and its tracemalloc peak in bytes."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+
+
+class TestLoadMemory:
+    """The indexed load keeps one list table's names alive at a time and
+    frees the text before it translates the last table.  Deterministic
+    tracemalloc readings on a document built here; the text is decoded
+    while tracing, as a command reads its file."""
+
+    def test_peak_well_below_a_whole_parse(self):
+        data = memory_document()
+        view, indexed = traced_peak(lambda: fileio.prepare_document(data.decode))
+        assert type(view) is IndexView and len(view.girls) == 1980
+        _, whole = traced_peak(lambda: fileio._load_object(data.decode()))
+        # About 0.73 on CPython 3.10 and 3.11; parsing the whole document
+        # first reads about 1.1.
+        assert indexed < 0.85 * whole
+
+    def test_text_freed_before_the_last_table_is_translated(self, monkeypatch):
+        data = memory_document()
+        traced = []
+        translate = fileio._index_rows
+
+        def recording(rows, other):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return translate(rows, other)
+
+        monkeypatch.setattr(fileio, "_index_rows", recording)
+        traced_peak(lambda: fileio.prepare_document(data.decode))
+        first, last = traced
+        # Between the two translations one table's names gave way to the
+        # other's, and the text went: about 0.9 MB less is held.
+        assert last < first - len(data) // 2
+
+
 class TestLoadPaths:
     """Every command loads an instance through one checked pass: solve and
-    check then index its rows, verify keeps them as names.  A bad document
-    takes the name-level path on every command."""
+    check feed it the text's members one at a time and index each list
+    table as it arrives, verify feeds it the parsed document and keeps the
+    rows as names.  A bad document takes the name-level path on every
+    command."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1296,9 +1523,9 @@ class TestLoadPaths:
         """The order in which the checked pass and the name-level path run."""
         order = []
         for name in ("_checked_tables", "_raw_instance"):
-            def recording(doc, _name=name, _original=getattr(fileio, name)):
+            def recording(*args, _name=name, _original=getattr(fileio, name)):
                 order.append(_name)
-                return _original(doc)
+                return _original(*args)
 
             monkeypatch.setattr(fileio, name, recording)
         return order
@@ -1332,7 +1559,10 @@ class TestLoadPaths:
         argv = {"solve": ["solve", path], "check": ["check", path], "verify": ["verify", path, result]}[command]
         assert main(argv) == 65
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        assert passes == ["_checked_tables", "_raw_instance"]
+        # solve and check run the pass on the walk over the text, then once
+        # more on the parsed document, as the whole-document path does.
+        walks = ["_checked_tables"] if command == "verify" else ["_checked_tables"] * 2
+        assert passes == [*walks, "_raw_instance"]
 
 
 class TestModuleEntry:

@@ -1,6 +1,5 @@
 """Instance model: validation, refusals, paring, the one-sided embedding."""
 
-import json
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -326,7 +325,7 @@ class TestIndexCacheOracle:
     @given(smp_instances())
     @settings(deadline=None, max_examples=300)
     def test_loaded_view_derives_the_same_reads(self, inst):
-        view = prepare_document(json.loads(serialize_instance(inst)))
+        view = prepare_document(lambda: serialize_instance(inst))
         assert type(view) is IndexView
         reference = reference_index_caches(inst)
         assert {name: getattr(view, name) for name in VIEW_READS} == {
