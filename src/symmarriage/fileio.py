@@ -14,6 +14,7 @@ import json
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count, filterfalse, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring
@@ -203,15 +204,17 @@ def _checked_tables(members, refusers, translate=None) -> list | Infeasible | No
     arrive; it returns None when these differ from refusers it has already
     applied to a list table.  A row is the document's own array less its
     refused names, or ``()`` for a wildcard.  A list table is checked,
-    filtered and dropped as soon as both rosters are known.  Given
-    ``translate(rows, other)``, the first table handled is translated at
-    once, before the next member is parsed; the other is returned as a
-    list, for the caller to translate once it has freed what it parsed.
-    Both tables, the refusers' own lists included, are checked before any
-    refusal can empty a row, so an emptied list never hides a bad table.
+    filtered and dropped as soon as both rosters are known, checked
+    against each side's place map (:func:`_kept_rosters`).  Given
+    ``translate(rows, other)``, the first table handled is translated
+    through the other side's map at once, before the next member is
+    parsed; the other is returned as a ``partial`` that does so, for the
+    caller to call once it has freed what it parsed.  Both tables, the
+    refusers' own lists included, are checked before any refusal can
+    empty a row, so an emptied list never hides a bad table.
     """
     frame = {}  # each member met; a list table only until it is handled
-    rosters = None  # each side's kept roster and name set, once both pass
+    rosters = None  # each side's kept roster and place map, once both pass
     rows = {}  # side -> its kept rows, or the first member they empty
     for key, value in members:
         if key not in _KEYS:
@@ -232,13 +235,13 @@ def _checked_tables(members, refusers, translate=None) -> list | Infeasible | No
         for side, field in enumerate(("girl_lists", "boy_lists")):
             if side in rows or field not in frame:
                 continue
-            (roster, own), (other_roster, other) = rosters[side], rosters[1 - side]
+            (roster, own), (_, other) = rosters[side], rosters[1 - side]
             kept = _kept_rows(frame[field], roster, own, other, refuse)
             frame[field] = None
             if kept is None:
                 return None
-            if translate is not None and not rows and type(kept) is list:
-                kept = translate(kept, other_roster)
+            if translate is not None and type(kept) is list:
+                kept = partial(translate, kept, other) if rows else translate(kept, other)
             rows[side] = kept
     if not _REQUIRED_KEYS <= frame.keys():
         return None
@@ -254,26 +257,30 @@ def _checked_tables(members, refusers, translate=None) -> list | Infeasible | No
 
 
 def _kept_rosters(girls, boys, refusers):
-    """``(refused names, ((kept girls, girl names), (kept boys, boy
-    names)))``, or None when a roster or the refusers are no string arrays,
-    a name repeats or a refuser is on no roster."""
+    """``(refused names, [(kept girls, girl places), (kept boys, boy
+    places)])``, or None when a roster or the refusers are no string arrays,
+    a name repeats or a refuser is on no roster.  A side's places map each
+    name on its roster to the name's place in the kept roster, or a refused
+    name to None; the two maps share one int object per place."""
     if not all(map(_is_string_array, (girls, boys, refusers))):
         return None
-    refuse, girl_set, boy_set = set(refusers), set(girls), set(boys)
-    if (
-        len(refuse) != len(refusers)
-        or len(girl_set) != len(girls)
-        or len(boy_set) != len(boys)
-        or refuse - girl_set - boy_set
-    ):
+    refuse, places, rosters = set(refusers), [*range(max(len(girls), len(boys)))], []
+    for roster in girls, boys:
+        kept, place = roster, {}
+        if refuse:
+            kept = [*filterfalse(refuse.__contains__, roster)]
+            place = dict.fromkeys(filter(refuse.__contains__, roster))
+        place.update(zip(kept, places))
+        if len(place) != len(roster):
+            return None  # a name repeats
+        rosters.append((kept, place))
+    # Each difference walks the refusers, not the map.
+    if len(refuse) != len(refusers) or refuse.difference(rosters[0][1]).difference(rosters[1][1]):
         return None
-    if refuse:
-        girls = [*filterfalse(refuse.__contains__, girls)]
-        boys = [*filterfalse(refuse.__contains__, boys)]
-    return refuse, ((girls, girl_set), (boys, boy_set))
+    return refuse, rosters
 
 
-def _kept_rows(table, roster, own: set, other: set, refuse: set) -> list | Infeasible | None:
+def _kept_rows(table, roster, own: dict, other: dict, refuse: set) -> list | Infeasible | None:
     """One side's rows for its kept ``roster``, less their refused names,
     or the first member whose row the refusals empty; None when the list
     table fails :func:`_names_table_ok`."""
@@ -289,27 +296,27 @@ def _kept_rows(table, roster, own: set, other: set, refuse: set) -> list | Infea
     return rows
 
 
-def _names_table_ok(table, own: set, other: set) -> bool:
-    """Whether a list table is an object keyed by ``own`` names whose rows
-    are non-empty arrays of distinct ``other`` names."""
-    if type(table) is not dict or not table.keys() <= own:
+def _names_table_ok(table, own: dict, other: dict) -> bool:
+    """Whether a list table is an object keyed by names ``own`` maps whose
+    rows are non-empty arrays of distinct names ``other`` maps."""
+    if type(table) is not dict or not table.keys() <= own.keys():
         return False
     rows = table.values()
     if not set(map(type, rows)) <= _LIST or not all(rows):
         return False  # a row that is no array, or an empty one
-    # A row's intersection with ``other`` is shorter than the row when an
-    # entry is unknown, no string or repeated.
+    # A row's intersection with ``other``'s names (which walks the row) is
+    # shorter than the row when an entry is unknown, no string or repeated.
     try:
-        return sum(map(len, map(other.intersection, rows))) == sum(map(len, rows))
+        return sum(map(len, map(other.keys().__and__, rows))) == sum(map(len, rows))
     except TypeError:
         return False  # an unhashable entry
 
 
-def _index_rows(rows, other) -> tuple:
-    """Each row as the other side's indices.  Every entry of a checked row
-    is a kept name, so each lookup succeeds."""
-    index = dict(zip(other, count()))
-    return tuple(map(tuple, map(map, repeat(index.__getitem__), rows)))
+def _index_rows(rows, other: dict) -> tuple:
+    """Each row as the other side's places, through the map the row's
+    entries were checked against.  Every entry of a filtered row is a kept
+    name; a refused one would give None, which indexes nothing."""
+    return tuple(map(tuple, map(map, repeat(other.__getitem__), rows)))
 
 
 def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
@@ -329,7 +336,7 @@ def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
 def _indexed_document(doc: dict) -> IndexView | Infeasible | None:
     """The whole-document pass of :func:`prepare_document`; None for any
     anomaly."""
-    return _index_view(_checked_tables(doc.items(), doc.get("refusers", [])))
+    return _index_view(_checked_tables(doc.items(), doc.get("refusers", []), _index_rows))
 
 
 def _indexed_text(box: list) -> IndexView | Infeasible | None:
@@ -358,16 +365,13 @@ def _indexed_text(box: list) -> IndexView | Infeasible | None:
 
 
 def _index_view(checked: list | Infeasible | None) -> IndexView | Infeasible | None:
-    """The checked pass's outcome as an :class:`IndexView`, each side's
-    rows still in list form translated."""
+    """The checked pass's outcome as an :class:`IndexView`, the side whose
+    translation waited translated now."""
     if type(checked) is not list:
         return checked  # None, or Infeasible
     girls, girl_rows, boys, boy_rows = checked
-    if type(girl_rows) is list:
-        girl_rows = _index_rows(girl_rows, boys)
-    if type(boy_rows) is list:
-        boy_rows = _index_rows(boy_rows, girls)
-    return IndexView(tuple(girls), tuple(boys), girl_rows, boy_rows)
+    rows = [side() if type(side) is partial else side for side in (girl_rows, boy_rows)]
+    return IndexView(tuple(girls), tuple(boys), *rows)
 
 
 def _skip_space(text: str, idx: int) -> int:

@@ -1143,6 +1143,52 @@ LOAD_BASE = {
 }
 NOT_STRINGS = "'girl_lists.g1' must be an array of strings"
 
+# Documents that meet each rule the name -> place maps of the checked pass
+# keep: a refused name stays on its roster's map, marked, not placed.
+PLACE_MAP_CASES = {
+    "kept name twice on a roster": ({"boys": ["b1", "b2", "b3", "x", "b2"], "refusers": ["b3"]}, "duplicate boy 'b2'"),
+    "refused name twice on a roster": (
+        {"boys": ["b1", "b2", "b3", "x", "b3"], "refusers": ["b3"]},
+        "duplicate boy 'b3'",
+    ),
+    "refuser on both rosters written twice": ({"refusers": ["x", "b3", "x"]}, "duplicate refuser 'x'"),
+    "refuser on both rosters, listed by both sides": (
+        {
+            "refusers": ["x"],
+            "girl_lists": {"g1": ["x", "b2"], "x": ["x"]},
+            "boy_lists": {"b1": ["x", "g1"], "x": ["x", "g2"]},
+        },
+        (
+            ("g1", "g2"),
+            ("b1", "b2", "b3"),
+            [("g1", ("b2",)), ("g2", ())],
+            [("b1", ("g1",)), ("b2", ()), ("b3", ())],
+        ),
+    ),
+    "refuser on neither roster, a list key": (
+        {"refusers": ["gz"], "girl_lists": {"g1": ["b1"], "gz": ["b1"]}},
+        "unknown girl 'gz' in girl_lists; unknown refuser 'gz'",
+    ),
+    "row listing two refusers and a kept name": (
+        {"refusers": ["g1", "g2"], "boy_lists": {"b1": ["g1", "x", "g2"]}},
+        (
+            ("x",),
+            ("b1", "b2", "b3", "x"),
+            [("x", ("b1",))],
+            [("b1", ("x",)), ("b2", ()), ("b3", ()), ("x", ())],
+        ),
+    ),
+    "list key of a refuser": (
+        {"refusers": ["g1"]},
+        (
+            ("g2", "x"),
+            ("b1", "b2", "b3", "x"),
+            [("g2", ()), ("x", ("b1",))],
+            [("b1", ("x",)), ("b2", ("g2",)), ("b3", ()), ("x", ())],
+        ),
+    ),
+}
+
 LOAD_CASES = {
     "int entry": ({"girl_lists": {"g1": ["b1", 3]}}, NOT_STRINGS),
     "null entry": ({"girl_lists": {"g1": [None]}}, NOT_STRINGS),
@@ -1197,6 +1243,7 @@ LOAD_CASES = {
     ),
     "boy's row emptied": ({"refusers": ["x", "g1"]}, Infeasible("b1")),
     "both sides emptied, girls first": ({"refusers": ["b1", "g1", "g2"]}, Infeasible("x")),
+    **PLACE_MAP_CASES,
 }
 
 
@@ -1308,6 +1355,10 @@ FRAME_CASES = {
     "emptied row after a bad boys' table": reordered(
         EMPTIED_ROW_BAD_TABLE, "version", "girls", "boys", "boy_lists", "girl_lists", "refusers"
     ),
+    **{
+        f"place maps: {case}": json.dumps(dict(LOAD_BASE, **change), indent=2)
+        for case, (change, _) in PLACE_MAP_CASES.items()
+    },
 }
 
 
@@ -1393,8 +1444,10 @@ def traced_peak(call):
 
 
 class TestLoadMemory:
-    """The indexed load keeps one list table's names alive at a time and
-    frees the text before it translates the last table.  Deterministic
+    """The indexed load keeps one list table's names alive at a time,
+    frees the text before it translates the last table, and checks and
+    translates each table through one name -> place map per roster, not
+    through roster sets and index dicts of its own.  Deterministic
     tracemalloc readings on a document built here; the text is decoded
     while tracing, as a command reads its file."""
 
@@ -1403,7 +1456,7 @@ class TestLoadMemory:
         view, indexed = traced_peak(lambda: fileio.prepare_document(data.decode))
         assert type(view) is IndexView and len(view.girls) == 1980
         _, whole = traced_peak(lambda: fileio._load_object(data.decode()))
-        # About 0.73 on CPython 3.10 and 3.11; parsing the whole document
+        # About 0.70 on CPython 3.10 and 3.11; parsing the whole document
         # first reads about 1.1.
         assert indexed < 0.85 * whole
 
@@ -1422,6 +1475,39 @@ class TestLoadMemory:
         # Between the two translations one table's names gave way to the
         # other's, and the text went: about 0.9 MB less is held.
         assert last < first - len(data) // 2
+
+    @pytest.mark.parametrize("path", ["walk", "whole document"])
+    def test_each_table_is_translated_through_the_map_it_was_checked_by(self, path, monkeypatch):
+        text = memory_document().decode()
+        others = {"_names_table_ok": [], "_index_rows": []}
+        for name, seen in others.items():
+            def recording(*args, _seen=seen, _original=getattr(fileio, name)):
+                _seen.append(args[-1])  # ``other``, the last argument of both
+                return _original(*args)
+
+            monkeypatch.setattr(fileio, name, recording)
+        if path == "walk":
+            view = fileio.prepare_document(lambda: text)
+        else:
+            view = fileio._indexed_document(json.loads(text))
+        assert type(view) is IndexView
+        (boy_map, girl_map), translated = others.values()
+        assert len(translated) == 2
+        assert translated[0] is boy_map and translated[1] is girl_map
+        assert boy_map.keys() == {f"b{i}" for i in range(2000)} and girl_map.keys() == {f"g{i}" for i in range(2000)}
+
+    def test_place_maps_hold_less_than_roster_sets(self):
+        girls = [f"g{i}" for i in range(20_000)]
+        boys = [f"b{i}" for i in range(20_000)]
+        refusers = girls[::100] + boys[50::100]
+        checked, peak = traced_peak(lambda: fileio._kept_rosters(girls, boys, refusers))
+        (girls_kept, girl_map), (boys_kept, boy_map) = checked[1]
+        assert len(girls_kept) == len(boys_kept) == 19_800
+        assert (girl_map["g0"], girl_map["g1"], boy_map["b0"], boy_map["b50"]) == (None, 0, 0, None)
+        assert girl_map["g1001"] == 990 and girl_map["g1001"] is boy_map["b1000"]  # one int per place
+        # About 2.21 MB on CPython 3.11 and 2.57 MB on 3.10, the kept rosters
+        # included; the two roster sets the checks once used read 4.75 MB.
+        assert peak < 3_000_000
 
 
 class TestLoadPaths:
