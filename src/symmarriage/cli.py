@@ -27,10 +27,8 @@ import sys
 from .fileio import (
     ParseError,
     ResultDoc,
-    _load_object,
     parse_result,
     prepare_document,
-    prepare_named_document,
     serialize_instance,
     serialize_result,
 )
@@ -202,24 +200,21 @@ def _input_text(path: str) -> str:
         raise ParseError(f"cannot read '{path}': {exc}") from exc
 
 
-def _load_instance(path: str) -> IndexRows | Infeasible:
+def _load_instance(path: str, names: bool = False) -> IndexRows | Infeasible:
     """Read, validate and preprocess an instance file into an
     :class:`~symmarriage.instances.IndexView` of rosters and index rows
-    (solve, check): the checked pass, fed one top-level member at a time,
-    translates each list table to indices as it arrives; no name table is
-    built.
+    (solve, check), or with ``names`` into an :class:`SmpInstance` whose
+    rows stay names (verify).  Every command walks the text: the checked
+    pass, fed one top-level member at a time, keeps each list table as it
+    arrives, translated to indices unless ``names``; no command builds an
+    index cache.
 
     Raises ParseError for unreadable, malformed or invalid documents.
     """
     # The loader reads the file itself, so it holds the only reference to
-    # the text and frees it before the last list table is translated.
-    return prepare_document(functools.partial(_input_text, path))
-
-
-def _load_named(path: str) -> SmpInstance | Infeasible:
-    """``_load_instance`` with the rows kept as names (verify): the same
-    checked pass, and the index caches left unbuilt."""
-    return prepare_named_document(_load_object(_input_text(path)))
+    # the text and frees it once the walk ends, before the last list table
+    # is translated.
+    return prepare_document(functools.partial(_input_text, path), names)
 
 
 def _cmd_solve(args) -> int:
@@ -319,7 +314,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prepared = _load_named(args.instance)
+    prepared = _load_instance(args.instance, names=True)
     result = parse_result(_input_text(args.result))
     problems = _verify_claim(prepared, result)
     if problems:

@@ -27,6 +27,7 @@ from .instances import (
     Infeasible,
     RawInstance,
     SmpInstance,
+    _index_rows,
     preprocess_refusals,
     validate_raw,
 )
@@ -154,48 +155,36 @@ def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
     return preprocess_refusals(raw)
 
 
-def prepare_document(read: Callable[[], str]) -> IndexRows | Infeasible:
+def prepare_document(read: Callable[[], str], names: bool = False) -> IndexRows | Infeasible:
     """``prepare_raw`` of an instance document's text, as an
-    :class:`IndexView` (solve, check).
+    :class:`IndexView` (solve, check), or with ``names`` as an
+    :class:`SmpInstance` whose rows stay the document's names (verify).
 
     ``read()`` gives the text; the loader keeps the only reference to it.
-    The walk (:func:`_indexed_text`) parses the top-level members one at a
-    time, so only one list table's names are alive at once, and frees the
-    text before the last table is translated.  A document it hands back
+    The walk (:func:`_walked_text`) parses the top-level members one at a
+    time, so that, rows translated, only one list table's names are alive
+    at once, and frees the text before the last table is translated.  With
+    ``names`` no row is translated and no index cache is built; nothing
+    else differs between the two products.  A document the walk hands back
     goes through the whole-document path: :func:`_load_object`, the same
     checked pass over the parsed document, and for a document that pass
     finds anything wrong with, the schema checks of :func:`parse_instance`
     and then :func:`prepare_raw`, so every error message and every
     infeasible member is the name-level path's.
     """
+    translate = None if names else _index_rows
     box = [read()]
-    prepared = _indexed_text(box)
+    prepared = _walked_text(box, translate)
     if prepared is None:
         doc = _load_object(box.pop())
-        prepared = _indexed_document(doc)
+        prepared = _index_view(_checked_tables(doc.items(), doc.get("refusers", []), translate))
         if prepared is None:
             prepared = prepare_raw(_raw_instance(doc))
     return prepared
 
 
-def prepare_named_document(doc: dict) -> SmpInstance | Infeasible:
-    """``prepare_raw`` of a parsed instance document, with every row kept
-    as the document's names (verify).
-
-    The name-level twin of :func:`prepare_document`: the same checked pass,
-    fed the parsed document's members, then each kept row becomes a tuple
-    keyed by its member; no index row is built.  A document the pass finds
-    anything wrong with goes through the same name-level path, so every
-    error message and every infeasible member is that path's.
-    """
-    prepared = _named_document(doc)
-    if prepared is None:
-        prepared = prepare_raw(_raw_instance(doc))
-    return prepared
-
-
 def _checked_tables(members, refusers, translate=None) -> list | Infeasible | None:
-    """The one checked pass behind both loaders: ``[girls, girl_rows, boys,
+    """The one checked pass behind every load: ``[girls, girl_rows, boys,
     boy_rows]`` for the kept members, in roster order, or the first member
     (girls first) whose list the refusals empty; None for any anomaly.
 
@@ -312,41 +301,14 @@ def _names_table_ok(table, own: dict, other: dict) -> bool:
         return False  # an unhashable entry
 
 
-def _index_rows(rows, other: dict) -> tuple:
-    """Each row as the other side's places, through the map the row's
-    entries were checked against.  Every entry of a filtered row is a kept
-    name; a refused one would give None, which indexes nothing."""
-    return tuple(map(tuple, map(map, repeat(other.__getitem__), rows)))
-
-
-def _named_document(doc: dict) -> SmpInstance | Infeasible | None:
-    """The pass of :func:`prepare_named_document`; None for any anomaly."""
-    checked = _checked_tables(doc.items(), doc.get("refusers", []))
-    if type(checked) is not list:
-        return checked  # None, or Infeasible
-    girls, girl_rows, boys, boy_rows = checked
-    return SmpInstance(
-        tuple(girls),
-        tuple(boys),
-        dict(zip(girls, map(tuple, girl_rows))),
-        dict(zip(boys, map(tuple, boy_rows))),
-    )
-
-
-def _indexed_document(doc: dict) -> IndexView | Infeasible | None:
-    """The whole-document pass of :func:`prepare_document`; None for any
-    anomaly."""
-    return _index_view(_checked_tables(doc.items(), doc.get("refusers", []), _index_rows))
-
-
-def _indexed_text(box: list) -> IndexView | Infeasible | None:
+def _walked_text(box: list, translate) -> IndexRows | Infeasible | None:
     """The walk of :func:`prepare_document` on the text in ``box``: each
     member parsed by :func:`_text_members` goes into the checked pass as it
-    arrives.  The refusers are read ahead from the text's tail, where every
-    writer puts them; the pass takes the document's own when the walk meets
-    them before any list table.  ``box`` is emptied once the walk has
-    ended.  None, the text left in ``box``, for any anomaly, refusers met
-    between the list tables included."""
+    arrives, with ``translate`` for its rows.  The refusers are read ahead
+    from the text's tail, where every writer puts them; the pass takes the
+    document's own when the walk meets them before any list table.  ``box``
+    is emptied once the walk has ended.  None, the text left in ``box``,
+    for any anomaly, refusers met between the list tables included."""
     text = box[0]
     if _SURROGATE_ESCAPE.search(text):
         return None  # _load_object tests the whole document for a lone surrogate
@@ -356,7 +318,7 @@ def _indexed_text(box: list) -> IndexView | Infeasible | None:
     members = _text_members(text, scan_once)
     del text
     try:
-        checked = _checked_tables(members, refusers, _index_rows)
+        checked = _checked_tables(members, refusers, translate)
     except _Unwalkable:
         return None
     if checked is not None:
@@ -364,12 +326,20 @@ def _indexed_text(box: list) -> IndexView | Infeasible | None:
     return _index_view(checked)
 
 
-def _index_view(checked: list | Infeasible | None) -> IndexView | Infeasible | None:
-    """The checked pass's outcome as an :class:`IndexView`, the side whose
-    translation waited translated now."""
+def _index_view(checked: list | Infeasible | None) -> IndexRows | Infeasible | None:
+    """The checked pass's outcome as an :class:`IndexView` when its rows
+    were translated, the side whose translation waited translated now, or
+    as an :class:`SmpInstance` keyed by member when they stayed names."""
     if type(checked) is not list:
         return checked  # None, or Infeasible
     girls, girl_rows, boys, boy_rows = checked
+    if type(girl_rows) is list:  # untranslated: each row a list of names, or ()
+        return SmpInstance(
+            tuple(girls),
+            tuple(boys),
+            dict(zip(girls, map(tuple, girl_rows))),
+            dict(zip(boys, map(tuple, boy_rows))),
+        )
     rows = [side() if type(side) is partial else side for side in (girl_rows, boy_rows)]
     return IndexView(tuple(girls), tuple(boys), *rows)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import contains, itemgetter
 from typing import Iterable, Mapping
 
@@ -119,19 +119,18 @@ class SmpInstance(IndexRows):
 
     @cached_property
     def girl_lists_idx(self) -> tuple[tuple[int, ...], ...]:
-        return _index_rows(self.girls, self.girl_lists, self.boy_index)
+        return _index_rows(map(self.girl_lists.__getitem__, self.girls), self.boy_index)
 
     @cached_property
     def boy_lists_idx(self) -> tuple[tuple[int, ...], ...]:
-        return _index_rows(self.boys, self.boy_lists, self.girl_index)
+        return _index_rows(map(self.boy_lists.__getitem__, self.boys), self.girl_index)
 
 
-def _index_rows(
-    roster: tuple[str, ...], lists: dict[str, tuple[str, ...]], index: dict[str, int]
-) -> tuple[tuple[int, ...], ...]:
-    """Each roster member's list translated to the other side's indices."""
-    lookup = index.__getitem__
-    return tuple(tuple(map(lookup, row)) for row in map(lists.__getitem__, roster))
+def _index_rows(rows: Iterable[Iterable[str]], other: Mapping[str, int]) -> tuple[tuple[int, ...], ...]:
+    """Each row's names as the other side's places, through ``other``: an
+    instance's index cache, or the place map a load checked the rows
+    against (where a refused name, never left on a kept row, maps to None)."""
+    return tuple(map(tuple, map(map, repeat(other.__getitem__), rows)))
 
 
 @dataclass(frozen=True)

@@ -971,7 +971,13 @@ def one_pass_load(text):
 
 
 def named_load(text):
-    return fileio.prepare_named_document(fileio._load_object(text))
+    return fileio.prepare_document(lambda: text, names=True)
+
+
+def whole_document_pass(doc, translate):
+    """The checked pass of ``prepare_document`` over a parsed document,
+    with its rows given ``translate``, as the whole-document path runs it."""
+    return fileio._index_view(fileio._checked_tables(doc.items(), doc.get("refusers", []), translate))
 
 
 def load_outcome(load, text):
@@ -1016,13 +1022,13 @@ def cache_values(instance):
 
 
 def assert_loads_alike(text, check_walk=True):
-    """Both one-pass loaders give the name-level path's outcome, and a valid
-    document takes each pass alone: the named pass, the indexed pass over
-    the parsed document and, unless ``check_walk`` is false, the indexed
-    walk over the text when the refusers are empty, the last member or
-    before both list tables.  The indexed load gives an IndexView holding
-    the rows a fresh name-level instance builds, the named pass builds no
-    index cache."""
+    """The one loader gives the name-level path's outcome as both products,
+    and a valid document takes each pass alone, for both products: the
+    whole-document pass over the parsed document and, unless ``check_walk``
+    is false, the walk over the text when the refusers are empty, the last
+    member or before both list tables.  The indexed load gives an IndexView
+    holding the rows a fresh name-level instance builds, the named load
+    builds no index cache."""
     got = load_outcome(one_pass_load, text)
     want = load_outcome(reference_load, text)
     named = load_outcome(named_load, text)
@@ -1032,15 +1038,16 @@ def assert_loads_alike(text, check_walk=True):
         assert loaded_snapshot(outcome) == loaded_snapshot(want)
     if not isinstance(want, str):
         doc = json.loads(text)
-        assert fileio._indexed_document(doc) is not None
-        assert fileio._named_document(doc) is not None
         keys = [*doc]
-        if check_walk and (
+        walked = check_walk and (
             not doc.get("refusers")
             or keys[-1] == "refusers"
             or keys.index("refusers") < min(keys.index("girl_lists"), keys.index("boy_lists"))
-        ):
-            assert fileio._indexed_text([text]) is not None
+        )
+        for translate in (fileio._index_rows, None):
+            assert whole_document_pass(doc, translate) is not None
+            if walked:
+                assert fileio._walked_text([text], translate) is not None
     if isinstance(named, SmpInstance):
         assert not set(FILLED_CACHES) & vars(named).keys()
         # The reference load is fresh: its rows are built from its names.
@@ -1489,7 +1496,7 @@ class TestLoadMemory:
         if path == "walk":
             view = fileio.prepare_document(lambda: text)
         else:
-            view = fileio._indexed_document(json.loads(text))
+            view = whole_document_pass(json.loads(text), fileio._index_rows)
         assert type(view) is IndexView
         (boy_map, girl_map), translated = others.values()
         assert len(translated) == 2
@@ -1511,11 +1518,11 @@ class TestLoadMemory:
 
 
 class TestLoadPaths:
-    """Every command loads an instance through one checked pass: solve and
-    check feed it the text's members one at a time and index each list
-    table as it arrives, verify feeds it the parsed document and keeps the
-    rows as names.  A bad document takes the name-level path on every
-    command."""
+    """Every command loads an instance through one loader: the checked pass
+    is fed the text's members one at a time, and solve and check index
+    each list table as it arrives while verify keeps the rows as names.  A
+    bad document takes the same steps on every command: the pass on the
+    walk, on the parsed document, then the name-level path."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1597,6 +1604,27 @@ class TestLoadPaths:
         assert not set(FILLED_CACHES) & vars(seen[0]).keys()
         assert calls == {}
 
+    @pytest.mark.parametrize("girl_lists, code", [({"g1": ["b1"]}, 0), ({"g1": ["b1"], "g2": ["b1"]}, 1)])
+    def test_verify_walks_the_instance_text(self, girl_lists, code, tmp_path, monkeypatch, capsys):
+        # Laid out as the writers lay it out, refusers last, the instance is
+        # never parsed whole: the only document _load_object reads is the
+        # result.
+        path = tmp_path / "i.json"
+        path.write_text(serialize_instance(RawInstance.build(I1.girls, I1.boys, girl_lists, {}, ["b2"])))
+        result = str(tmp_path / "r.json")
+        assert main(["solve", str(path), "--output", result]) == code
+        loaded, walked = [], []
+        for name, seen in (("_load_object", loaded), ("_walked_text", walked)):
+            def recording(*args, _seen=seen, _original=getattr(fileio, name)):
+                _seen.append(_original(*args))
+                return _seen[-1]
+
+            monkeypatch.setattr(fileio, name, recording)
+        assert main(["verify", str(path), result]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        assert [type(got) for got in walked] == [SmpInstance]
+        assert loaded == [json.loads(Path(result).read_text())]
+
     def test_verify_of_a_bad_document_takes_the_name_level_path(self, tmp_path, calls, capsys):
         path = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, refusers=["zz"]))
         result = write_doc(tmp_path, "r.json", {"status": "infeasible", "infeasible_member": "x"})
@@ -1645,10 +1673,9 @@ class TestLoadPaths:
         argv = {"solve": ["solve", path], "check": ["check", path], "verify": ["verify", path, result]}[command]
         assert main(argv) == 65
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        # solve and check run the pass on the walk over the text, then once
-        # more on the parsed document, as the whole-document path does.
-        walks = ["_checked_tables"] if command == "verify" else ["_checked_tables"] * 2
-        assert passes == [*walks, "_raw_instance"]
+        # The pass runs on the walk over the text, then once more on the
+        # parsed document, as the whole-document path does.
+        assert passes == ["_checked_tables", "_checked_tables", "_raw_instance"]
 
 
 class TestModuleEntry:
