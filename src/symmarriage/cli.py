@@ -27,6 +27,7 @@ import sys
 from .fileio import (
     ParseError,
     ResultDoc,
+    claim_cleared,
     parse_result,
     prepare_document,
     serialize_instance,
@@ -204,10 +205,10 @@ def _load_instance(path: str, names: bool = False) -> IndexRows | Infeasible:
     """Read, validate and preprocess an instance file into an
     :class:`~symmarriage.instances.IndexView` of rosters and index rows
     (solve, check), or with ``names`` into an :class:`SmpInstance` whose
-    rows stay names (verify).  Every command walks the text: the checked
-    pass, fed one top-level member at a time, keeps each list table as it
-    arrives, translated to indices unless ``names``; no command builds an
-    index cache.
+    rows stay names (verify's name-level check).  Every load walks the
+    text: the checked pass, fed one top-level member at a time, keeps each
+    list table as it arrives, translated to indices unless ``names``; no
+    load builds an index cache.
 
     Raises ParseError for unreadable, malformed or invalid documents.
     """
@@ -314,13 +315,22 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    prepared = _load_instance(args.instance, names=True)
-    result = parse_result(_input_text(args.result))
-    problems = _verify_claim(prepared, result)
-    if problems:
-        for p in problems:
-            print(f"invalid: {p}")
-        return EXIT_UNSOLVABLE
+    """Check a result's claim against its instance.  The result is read
+    first, and a pairing or violator is checked inside the instance's
+    checked pass (:func:`~symmarriage.fileio.claim_cleared`).  Anything
+    else goes down the name-level path, which reports the instance's errors
+    before the result's, and :func:`_verify_claim` writes every problem."""
+    try:
+        result = parse_result(_input_text(args.result))
+    except ParseError:
+        result = None  # reported below, after the instance's own errors
+    if result is None or not claim_cleared(functools.partial(_input_text, args.instance), result):
+        prepared = _load_instance(args.instance, names=True)
+        problems = _verify_claim(prepared, result or parse_result(_input_text(args.result)))
+        if problems:
+            for p in problems:
+                print(f"invalid: {p}")
+            return EXIT_UNSOLVABLE
     print("valid")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from functools import partial
 from itertools import chain, compress, count, filterfalse, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring
-from operator import not_
+from operator import contains, not_
 
 from .hall import HallViolator
 from .instances import (
@@ -158,7 +158,8 @@ def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
 def prepare_document(read: Callable[[], str], names: bool = False) -> IndexRows | Infeasible:
     """``prepare_raw`` of an instance document's text, as an
     :class:`IndexView` (solve, check), or with ``names`` as an
-    :class:`SmpInstance` whose rows stay the document's names (verify).
+    :class:`SmpInstance` whose rows stay the document's names (``verify``'s
+    name-level check).
 
     ``read()`` gives the text; the loader keeps the only reference to it.
     The walk (:func:`_walked_text`) parses the top-level members one at a
@@ -172,18 +173,44 @@ def prepare_document(read: Callable[[], str], names: bool = False) -> IndexRows 
     and then :func:`prepare_raw`, so every error message and every
     infeasible member is the name-level path's.
     """
-    translate = None if names else _index_rows
+    return _index_view(_checked_document(read, None if names else _translated))
+
+
+def claim_cleared(read: Callable[[], str], result: ResultDoc) -> bool:
+    """Whether the instance document ``read()`` gives is valid, survives its
+    refusals and bears out a pairing or violator ``result``: exactly when
+    ``cli._verify_claim`` finds no problem.  The document takes
+    :func:`prepare_document`'s path and raises its errors, but each list
+    table is reduced to what the claim needs (:class:`_Pairing`,
+    :class:`_Violator`) and dropped, so no row table or instance is built.
+    """
+    if result.status == "infeasible":
+        return False
+    claim = _Pairing(result.assignment) if result.status == "solved" else _Violator(result.violator)
+    checked = _checked_document(read, claim)
+    return type(checked) is list and claim.holds(*_sides(checked))
+
+
+def _checked_document(read: Callable[[], str], consume) -> list | Infeasible | SmpInstance:
+    """The checked pass over the document ``read()`` gives, each list table
+    handed to ``consume``: on the walk, else on the parsed document, else
+    the name-level path's instance, Infeasible or ParseError."""
     box = [read()]
-    prepared = _walked_text(box, translate)
-    if prepared is None:
+    checked = _walked_text(box, consume)
+    if checked is None:
         doc = _load_object(box.pop())
-        prepared = _index_view(_checked_tables(doc.items(), doc.get("refusers", []), translate))
-        if prepared is None:
-            prepared = prepare_raw(_raw_instance(doc))
-    return prepared
+        checked = _checked_tables(doc.items(), doc.get("refusers", []), consume)
+        if checked is None:
+            checked = prepare_raw(_raw_instance(doc))
+    return checked
 
 
-def _checked_tables(members, refusers, translate=None) -> list | Infeasible | None:
+def _translated(side: int, rows: list, own: dict, other: dict) -> tuple[tuple[int, ...], ...]:
+    """The per-table consumer of solve and check: rows as index rows."""
+    return _index_rows(rows, other)
+
+
+def _checked_tables(members, refusers, consume=None) -> list | Infeasible | None:
     """The one checked pass behind every load: ``[girls, girl_rows, boys,
     boy_rows]`` for the kept members, in roster order, or the first member
     (girls first) whose list the refusals empty; None for any anomaly.
@@ -195,12 +222,13 @@ def _checked_tables(members, refusers, translate=None) -> list | Infeasible | No
     refused names, or ``()`` for a wildcard.  A list table is checked,
     filtered and dropped as soon as both rosters are known, checked
     against each side's place map (:func:`_kept_rosters`).  Given
-    ``translate(rows, other)``, the first table handled is translated
-    through the other side's map at once, before the next member is
-    parsed; the other is returned as a ``partial`` that does so, for the
-    caller to call once it has freed what it parsed.  Both tables, the
-    refusers' own lists included, are checked before any refusal can
-    empty a row, so an emptied list never hides a bad table.
+    ``consume(side, rows, own, other)`` (side 0 the girls, then the two
+    place maps), the first table handled is replaced by what ``consume``
+    returns at once, before the next member is parsed; the other is
+    returned as a ``partial`` that does so, for the caller to call once it
+    has freed what it parsed (:func:`_sides`).  Both tables, the refusers'
+    own lists included, are checked before any refusal can empty a row,
+    so an emptied list never hides a bad table.
     """
     frame = {}  # each member met; a list table only until it is handled
     rosters = None  # each side's kept roster and place map, once both pass
@@ -229,8 +257,8 @@ def _checked_tables(members, refusers, translate=None) -> list | Infeasible | No
             frame[field] = None
             if kept is None:
                 return None
-            if translate is not None and type(kept) is list:
-                kept = partial(translate, kept, other) if rows else translate(kept, other)
+            if consume is not None and type(kept) is list:
+                kept = partial(consume, side, kept, own, other) if rows else consume(side, kept, own, other)
             rows[side] = kept
     if not _REQUIRED_KEYS <= frame.keys():
         return None
@@ -301,14 +329,15 @@ def _names_table_ok(table, own: dict, other: dict) -> bool:
         return False  # an unhashable entry
 
 
-def _walked_text(box: list, translate) -> IndexRows | Infeasible | None:
+def _walked_text(box: list, consume) -> list | Infeasible | None:
     """The walk of :func:`prepare_document` on the text in ``box``: each
     member parsed by :func:`_text_members` goes into the checked pass as it
-    arrives, with ``translate`` for its rows.  The refusers are read ahead
-    from the text's tail, where every writer puts them; the pass takes the
-    document's own when the walk meets them before any list table.  ``box``
-    is emptied once the walk has ended.  None, the text left in ``box``,
-    for any anomaly, refusers met between the list tables included."""
+    arrives, with ``consume`` for its list tables.  The refusers are read
+    ahead from the text's tail, where every writer puts them; the pass
+    takes the document's own when the walk meets them before any list
+    table.  ``box`` is emptied once the walk has ended.  None, the text
+    left in ``box``, for any anomaly, refusers met between the list tables
+    included."""
     text = box[0]
     if _SURROGATE_ESCAPE.search(text):
         return None  # _load_object tests the whole document for a lone surrogate
@@ -318,20 +347,25 @@ def _walked_text(box: list, translate) -> IndexRows | Infeasible | None:
     members = _text_members(text, scan_once)
     del text
     try:
-        checked = _checked_tables(members, refusers, translate)
+        checked = _checked_tables(members, refusers, consume)
     except _Unwalkable:
         return None
     if checked is not None:
-        box.clear()  # the walk has ended: the text goes before the last table is translated
-    return _index_view(checked)
+        box.clear()  # the walk has ended: the text goes before the last table is consumed
+    return checked
 
 
-def _index_view(checked: list | Infeasible | None) -> IndexRows | Infeasible | None:
+def _sides(checked: list) -> list:
+    """The checked pass's two sides, the one whose consumer waited called now."""
+    return [side() if type(side) is partial else side for side in checked[1::2]]
+
+
+def _index_view(checked: list | Infeasible | SmpInstance) -> IndexRows | Infeasible:
     """The checked pass's outcome as an :class:`IndexView` when its rows
-    were translated, the side whose translation waited translated now, or
-    as an :class:`SmpInstance` keyed by member when they stayed names."""
+    were translated, or as an :class:`SmpInstance` keyed by member when
+    they stayed names."""
     if type(checked) is not list:
-        return checked  # None, or Infeasible
+        return checked  # Infeasible, or the name-level path's instance
     girls, girl_rows, boys, boy_rows = checked
     if type(girl_rows) is list:  # untranslated: each row a list of names, or ()
         return SmpInstance(
@@ -340,8 +374,7 @@ def _index_view(checked: list | Infeasible | None) -> IndexRows | Infeasible | N
             dict(zip(girls, map(tuple, girl_rows))),
             dict(zip(boys, map(tuple, boy_rows))),
         )
-    rows = [side() if type(side) is partial else side for side in (girl_rows, boy_rows)]
-    return IndexView(tuple(girls), tuple(boys), *rows)
+    return IndexView(tuple(girls), tuple(boys), *_sides(checked))
 
 
 def _skip_space(text: str, idx: int) -> int:
@@ -350,7 +383,11 @@ def _skip_space(text: str, idx: int) -> int:
 
 def _refusers_ahead(text: str, scan_once):
     """The value of a ``"refusers"`` member that closes the document, read
-    from the text's tail; ``[]`` when the tail holds none."""
+    from the text's tail; ``[]`` when the tail holds none.  A text whose
+    last two non-space characters are ``}`` closes on an object value, so
+    it is not searched."""
+    if _CLOSING.match(text, text.rfind("}", 0, text.rfind("}")) + 1):
+        return []
     at = text.rfind('"refusers"')
     if at >= 0:
         idx = _skip_space(text, at + len('"refusers"'))
@@ -492,3 +529,55 @@ def parse_result(text: str) -> ResultDoc:
     if not isinstance(member, str):
         raise ParseError("'infeasible_member' must be a string")
     return ResultDoc("infeasible", infeasible_member=member)
+
+
+class _Pairing:
+    """A solved claim as a per-table consumer: one partner map per side.  A
+    table clears when each kept listed member's partner is on its row and
+    every name paired on its side is kept."""
+
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        self.partners = (dict(pairs), {b: g for g, b in pairs})
+        self.injective = len(self.partners[0]) == len(self.partners[1]) == len(pairs)
+
+    def __call__(self, side: int, rows: list, own: dict, other: dict) -> bool:
+        partners = self.partners[side]
+        places = [*map(own.get, partners)]
+        if None in places:
+            return False  # a paired name that is refused or on no roster
+        paired = [*map(rows.__getitem__, places)]
+        # A wildcard's row is (): every listed member is paired, on its row.
+        return len(rows) - rows.count(()) == len(paired) - paired.count(()) and all(
+            map(contains, compress(paired, paired), compress(partners.values(), paired))
+        )
+
+    def holds(self, girls_clear: bool, boys_clear: bool) -> bool:
+        return self.injective and girls_clear and boys_clear
+
+
+class _Violator:
+    """A violator claim as a per-table consumer: its side's table reduced to
+    the members' rows, as the other side's places, and the other table to
+    whether each member is listed and which violator members it lists."""
+
+    def __init__(self, violator: HallViolator):
+        self.side = ("girls", "boys").index(violator.side)
+        self.members, self.union_size = violator.members, violator.union_size
+
+    def __call__(self, side: int, rows: list, own: dict, other: dict):
+        if side == self.side:
+            places = [*map(own.get, self.members)]
+            member_rows = None if None in places else [*map(rows.__getitem__, places)]
+            return None if not member_rows or () in member_rows else _index_rows(member_rows, other)
+        members = set(self.members)
+        meeting = compress(count(), map(not_, map(members.isdisjoint, rows)))
+        return bytes(map(bool, rows)), {p: members.intersection(rows[p]) for p in meeting}
+
+    def holds(self, girl_side, boy_side) -> bool:
+        member_rows, (listed, backs) = (boy_side, girl_side) if self.side else (girl_side, boy_side)
+        if member_rows is None or len(set(self.members)) != len(self.members):
+            return False
+        # A partner stays on a member's pared row when it is a wildcard or
+        # lists the member back.
+        union = {p for m, row in zip(self.members, member_rows) for p in row if not listed[p] or m in backs.get(p, ())}
+        return len(union) == self.union_size < len(self.members)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from operator import contains, itemgetter
 from typing import Iterable, Mapping
 
 
@@ -311,8 +310,6 @@ def assignment_violations(instance: SmpInstance, assignment: Assignment) -> list
     wildcards are allowed (nothing constrains them), though solvers never
     emit them.
     """
-    if _assignment_clear(instance, assignment.pairs):
-        return []
     problems: list[str] = []
     girl_set = set(instance.girls)
     boy_set = set(instance.boys)
@@ -345,30 +342,3 @@ def assignment_violations(instance: SmpInstance, assignment: Assignment) -> list
             problems.append(f"listed boy '{b}' left unpaired")
     return problems
 
-
-def _assignment_clear(instance: SmpInstance, pairs: tuple[tuple[str, str], ...]) -> bool:
-    """Whether :func:`assignment_violations` finds no problem, by whole-sequence
-    tests at C level; only a False answer runs its per-pair loop."""
-    girls, boys = instance.girls, instance.boys
-    girl_row, boy_row = instance.girl_lists.__getitem__, instance.boy_lists.__getitem__
-    paired_g = list(map(itemgetter(0), pairs))
-    paired_b = list(map(itemgetter(1), pairs))
-    seen_g, seen_b = set(paired_g), set(paired_b)
-    if not (
-        len(seen_g) == len(seen_b) == len(pairs)  # no one paired twice
-        # Membership is tested against the rosters: a table built by
-        # SmpInstance.build keeps keys that name no member.
-        and seen_g <= set(girls)
-        and seen_b <= set(boys)
-    ):
-        return False
-    girl_rows = list(map(girl_row, paired_g))
-    boy_rows = list(map(boy_row, paired_b))
-    # A listed member's partner must be on their list; a wildcard's may be
-    # anyone.  Every listed member must be paired.
-    return (
-        all(map(contains, compress(girl_rows, girl_rows), compress(paired_b, girl_rows)))
-        and all(map(contains, compress(boy_rows, boy_rows), compress(paired_g, boy_rows)))
-        and seen_g.issuperset(compress(girls, map(girl_row, girls)))
-        and seen_b.issuperset(compress(boys, map(boy_row, boys)))
-    )
