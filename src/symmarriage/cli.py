@@ -12,6 +12,10 @@ Exit codes are part of the contract so that shell harnesses stay portable:
 * solve, gen: 73 the --output file cannot be written (no partial file is left)
 
 Exit codes 64 and above print one line to stderr and leave no --output file.
+
+Every command loads its instance in one checked pass
+(:func:`~symmarriage.fileio.prepare_document`); ``verify`` checks its
+claim inside that pass and prints one ``invalid: ...`` line per problem.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import sys
 from .fileio import (
     ParseError,
     ResultDoc,
-    claim_cleared,
+    claim_problems,
     parse_result,
     prepare_document,
     serialize_instance,
@@ -40,8 +44,6 @@ from .instances import (
     IndexRows,
     Infeasible,
     InvariantError,
-    SmpInstance,
-    assignment_violations,
     cmp_to_smp,
 )
 from .star import solve, solve_via_subproblems, unsolvable_violator
@@ -201,21 +203,15 @@ def _input_text(path: str) -> str:
         raise ParseError(f"cannot read '{path}': {exc}") from exc
 
 
-def _load_instance(path: str, names: bool = False) -> IndexRows | Infeasible:
+def _load_instance(path: str) -> IndexRows | Infeasible:
     """Read, validate and preprocess an instance file into an
-    :class:`~symmarriage.instances.IndexView` of rosters and index rows
-    (solve, check), or with ``names`` into an :class:`SmpInstance` whose
-    rows stay names (verify's name-level check).  Every load walks the
-    text: the checked pass, fed one top-level member at a time, keeps each
-    list table as it arrives, translated to indices unless ``names``; no
-    load builds an index cache.
-
-    Raises ParseError for unreadable, malformed or invalid documents.
-    """
+    :class:`~symmarriage.instances.IndexView`
+    (:func:`~symmarriage.fileio.prepare_document`); ParseError for
+    unreadable, malformed or invalid documents."""
     # The loader reads the file itself, so it holds the only reference to
     # the text and frees it once the walk ends, before the last list table
     # is translated.
-    return prepare_document(functools.partial(_input_text, path), names)
+    return prepare_document(functools.partial(_input_text, path))
 
 
 def _cmd_solve(args) -> int:
@@ -315,76 +311,24 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Check a result's claim against its instance.  The result is read
-    first, and a pairing or violator is checked inside the instance's
-    checked pass (:func:`~symmarriage.fileio.claim_cleared`).  Anything
-    else goes down the name-level path, which reports the instance's errors
-    before the result's, and :func:`_verify_claim` writes every problem."""
+    """Check a result's claim against its instance inside the instance's
+    one checked pass, which writes every problem
+    (:func:`~symmarriage.fileio.claim_problems`).  The result is read
+    first; one that cannot be read or parsed is reported only after the
+    instance's own errors."""
+    read = functools.partial(_input_text, args.instance)
     try:
         result = parse_result(_input_text(args.result))
     except ParseError:
-        result = None  # reported below, after the instance's own errors
-    if result is None or not claim_cleared(functools.partial(_input_text, args.instance), result):
-        prepared = _load_instance(args.instance, names=True)
-        problems = _verify_claim(prepared, result or parse_result(_input_text(args.result)))
-        if problems:
-            for p in problems:
-                print(f"invalid: {p}")
-            return EXIT_UNSOLVABLE
+        prepare_document(read)
+        raise
+    problems = claim_problems(read, result)
+    for p in problems:
+        print(f"invalid: {p}")
+    if problems:
+        return EXIT_UNSOLVABLE
     print("valid")
     return EXIT_OK
-
-
-def _verify_claim(prepared: SmpInstance | Infeasible, result: ResultDoc) -> list[str]:
-    """Re-derive the claim from the instance; any discrepancy invalidates it."""
-    if result.status == "infeasible":
-        if not isinstance(prepared, Infeasible):
-            return ["instance survives refusal preprocessing"]
-        if prepared.member != result.infeasible_member:
-            return [
-                f"preprocessing empties the list of '{prepared.member}', "
-                f"not '{result.infeasible_member}'"
-            ]
-        return []
-    if isinstance(prepared, Infeasible):
-        return [f"refusals empty the list of '{prepared.member}'"]
-    if result.status == "solved":
-        return assignment_violations(prepared, Assignment(result.assignment))
-    violator = result.violator
-    if violator.side == "girls":
-        lists, other_lists = prepared.girl_lists, prepared.boy_lists
-    else:
-        lists, other_lists = prepared.boy_lists, prepared.girl_lists
-    problems = []
-    members = violator.members
-    if len(set(members)) != len(members):
-        problems.append("violator members repeat")
-    missing = [m for m in members if not lists.get(m)]
-    if missing:
-        problems.append(f"violator members not listed on the {violator.side} side: {missing}")
-        return problems
-    # Pare only the members' lists: partner p stays on m's list when p is a
-    # wildcard or lists m back.  Each partner's list becomes a set once, so
-    # the work is linear in the list entries the claim touches.
-    back_sets: dict[str, frozenset[str]] = {}
-    union: set[str] = set()
-    for m in members:
-        for p in lists[m]:
-            back = back_sets.get(p)
-            if back is None:
-                back = back_sets[p] = frozenset(other_lists[p])
-            if not back or m in back:
-                union.add(p)
-    if len(union) != violator.union_size:
-        problems.append(
-            f"recomputed union size {len(union)} differs from claimed {violator.union_size}"
-        )
-    if len(union) >= len(members):
-        problems.append(
-            f"union of pared lists has {len(union)} members, not smaller than the "
-            f"subset of {len(members)}"
-        )
-    return problems
 
 
 if __name__ == "__main__":

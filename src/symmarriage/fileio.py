@@ -22,13 +22,14 @@ from operator import contains, not_
 
 from .hall import HallViolator
 from .instances import (
-    IndexRows,
+    Assignment,
     IndexView,
     Infeasible,
+    InvariantError,
     RawInstance,
     SmpInstance,
     _index_rows,
-    preprocess_refusals,
+    assignment_violations,
     validate_raw,
 )
 
@@ -144,64 +145,62 @@ def _raw_instance(doc: dict) -> RawInstance:
     return RawInstance.build(girls, boys, girl_lists, boy_lists, refusers)
 
 
-def prepare_raw(raw: RawInstance) -> SmpInstance | Infeasible:
-    """Validate a parsed instance, then apply its refusals.
-
-    Raises ParseError naming every problem :func:`validate_raw` finds.
-    """
-    problems = validate_raw(raw)
-    if problems:
-        raise ParseError("; ".join(problems))
-    return preprocess_refusals(raw)
-
-
-def prepare_document(read: Callable[[], str], names: bool = False) -> IndexRows | Infeasible:
-    """``prepare_raw`` of an instance document's text, as an
-    :class:`IndexView` (solve, check), or with ``names`` as an
-    :class:`SmpInstance` whose rows stay the document's names (``verify``'s
-    name-level check).
+def prepare_document(read: Callable[[], str]) -> IndexView | Infeasible:
+    """An instance document's text, validated and its refusals applied, as
+    an :class:`IndexView` (solve, check).
 
     ``read()`` gives the text; the loader keeps the only reference to it.
     The walk (:func:`_walked_text`) parses the top-level members one at a
     time, so that, rows translated, only one list table's names are alive
-    at once, and frees the text before the last table is translated.  With
-    ``names`` no row is translated and no index cache is built; nothing
-    else differs between the two products.  A document the walk hands back
-    goes through the whole-document path: :func:`_load_object`, the same
-    checked pass over the parsed document, and for a document that pass
-    finds anything wrong with, the schema checks of :func:`parse_instance`
-    and then :func:`prepare_raw`, so every error message and every
-    infeasible member is the name-level path's.
+    at once, and frees the text before the last table is translated.
+    Every error message and every infeasible member is the name-level
+    path's: :func:`validate_raw` and :func:`preprocess_refusals` of
+    :func:`parse_instance`'s instance (:func:`_checked_document`).
     """
-    return _index_view(_checked_document(read, None if names else _translated))
+    checked = _checked_document(read, _translated)
+    if type(checked) is Infeasible:
+        return checked
+    return IndexView(tuple(checked[0]), tuple(checked[2]), *_sides(checked))
 
 
-def claim_cleared(read: Callable[[], str], result: ResultDoc) -> bool:
-    """Whether the instance document ``read()`` gives is valid, survives its
-    refusals and bears out a pairing or violator ``result``: exactly when
-    ``cli._verify_claim`` finds no problem.  The document takes
-    :func:`prepare_document`'s path and raises its errors, but each list
-    table is reduced to what the claim needs (:class:`_Pairing`,
-    :class:`_Violator`) and dropped, so no row table or instance is built.
+def claim_problems(read: Callable[[], str], result: ResultDoc) -> list[str]:
+    """Every problem with ``result``'s claim about the instance document
+    ``read()`` gives, as ``verify`` prints them; the empty list means the
+    claim is valid.  The document takes :func:`prepare_document`'s path and
+    raises its errors, but each list table is reduced to what a pairing or
+    violator needs (:class:`_Pairing`, :class:`_Violator`), or dropped for
+    an infeasible claim, so no instance-sized table is built.
     """
     if result.status == "infeasible":
-        return False
+        checked = _checked_document(read, _dropped)
+        if type(checked) is not Infeasible:
+            return ["instance survives refusal preprocessing"]
+        if checked.member != result.infeasible_member:
+            return [f"preprocessing empties the list of '{checked.member}', not '{result.infeasible_member}'"]
+        return []
     claim = _Pairing(result.assignment) if result.status == "solved" else _Violator(result.violator)
     checked = _checked_document(read, claim)
-    return type(checked) is list and claim.holds(*_sides(checked))
+    if type(checked) is Infeasible:
+        return [f"refusals empty the list of '{checked.member}'"]
+    return claim.problems(*_sides(checked))
 
 
-def _checked_document(read: Callable[[], str], consume) -> list | Infeasible | SmpInstance:
+def _checked_document(read: Callable[[], str], consume) -> list | Infeasible:
     """The checked pass over the document ``read()`` gives, each list table
-    handed to ``consume``: on the walk, else on the parsed document, else
-    the name-level path's instance, Infeasible or ParseError."""
+    handed to ``consume``: on the walk, else on the document parsed whole
+    by :func:`_load_object`.  A document the pass rejects raises the
+    ParseError of the name-level checks, those of :func:`parse_instance`
+    and then :func:`validate_raw`, which name every problem."""
     box = [read()]
     checked = _walked_text(box, consume)
     if checked is None:
         doc = _load_object(box.pop())
         checked = _checked_tables(doc.items(), doc.get("refusers", []), consume)
         if checked is None:
-            checked = prepare_raw(_raw_instance(doc))
+            problems = validate_raw(_raw_instance(doc))
+            if problems:
+                raise ParseError("; ".join(problems))
+            raise InvariantError("the checked pass rejected a document the name-level checks accept")
     return checked
 
 
@@ -210,9 +209,13 @@ def _translated(side: int, rows: list, own: dict, other: dict) -> tuple[tuple[in
     return _index_rows(rows, other)
 
 
-def _checked_tables(members, refusers, consume=None) -> list | Infeasible | None:
-    """The one checked pass behind every load: ``[girls, girl_rows, boys,
-    boy_rows]`` for the kept members, in roster order, or the first member
+def _dropped(side: int, rows: list, own: dict, other: dict) -> None:
+    """The per-table consumer of an infeasible claim, which reads no row."""
+
+
+def _checked_tables(members, refusers, consume) -> list | Infeasible | None:
+    """The one checked pass behind every load: ``[girls, girl_side, boys,
+    boy_side]`` for the kept members, in roster order, or the first member
     (girls first) whose list the refusals empty; None for any anomaly.
 
     ``members`` gives the document's top-level (key, value) pairs, in any
@@ -221,14 +224,14 @@ def _checked_tables(members, refusers, consume=None) -> list | Infeasible | None
     applied to a list table.  A row is the document's own array less its
     refused names, or ``()`` for a wildcard.  A list table is checked,
     filtered and dropped as soon as both rosters are known, checked
-    against each side's place map (:func:`_kept_rosters`).  Given
+    against each side's place map (:func:`_kept_rosters`).  A side is what
     ``consume(side, rows, own, other)`` (side 0 the girls, then the two
-    place maps), the first table handled is replaced by what ``consume``
-    returns at once, before the next member is parsed; the other is
-    returned as a ``partial`` that does so, for the caller to call once it
-    has freed what it parsed (:func:`_sides`).  Both tables, the refusers'
-    own lists included, are checked before any refusal can empty a row,
-    so an emptied list never hides a bad table.
+    place maps) makes of its rows: the first table handled is replaced by
+    it at once, before the next member is parsed; the other is returned
+    as a ``partial`` that does so, for the caller to call once it has
+    freed what it parsed (:func:`_sides`).  Both tables, the refusers' own
+    lists included, are checked before any refusal can empty a row, so an
+    emptied list never hides a bad table.
     """
     frame = {}  # each member met; a list table only until it is handled
     rosters = None  # each side's kept roster and place map, once both pass
@@ -257,7 +260,7 @@ def _checked_tables(members, refusers, consume=None) -> list | Infeasible | None
             frame[field] = None
             if kept is None:
                 return None
-            if consume is not None and type(kept) is list:
+            if type(kept) is list:
                 kept = partial(consume, side, kept, own, other) if rows else consume(side, kept, own, other)
             rows[side] = kept
     if not _REQUIRED_KEYS <= frame.keys():
@@ -358,23 +361,6 @@ def _walked_text(box: list, consume) -> list | Infeasible | None:
 def _sides(checked: list) -> list:
     """The checked pass's two sides, the one whose consumer waited called now."""
     return [side() if type(side) is partial else side for side in checked[1::2]]
-
-
-def _index_view(checked: list | Infeasible | SmpInstance) -> IndexRows | Infeasible:
-    """The checked pass's outcome as an :class:`IndexView` when its rows
-    were translated, or as an :class:`SmpInstance` keyed by member when
-    they stayed names."""
-    if type(checked) is not list:
-        return checked  # Infeasible, or the name-level path's instance
-    girls, girl_rows, boys, boy_rows = checked
-    if type(girl_rows) is list:  # untranslated: each row a list of names, or ()
-        return SmpInstance(
-            tuple(girls),
-            tuple(boys),
-            dict(zip(girls, map(tuple, girl_rows))),
-            dict(zip(boys, map(tuple, boy_rows))),
-        )
-    return IndexView(tuple(girls), tuple(boys), *_sides(checked))
 
 
 def _skip_space(text: str, idx: int) -> int:
@@ -533,51 +519,94 @@ def parse_result(text: str) -> ResultDoc:
 
 class _Pairing:
     """A solved claim as a per-table consumer: one partner map per side.  A
-    table clears when each kept listed member's partner is on its row and
-    every name paired on its side is kept."""
+    table clears when the claim is injective, each kept listed member's
+    partner is on its row and every name paired on its side is kept; it is
+    then reduced to which paired members are listed.  Any other table is
+    reduced to a claim-sized name table for :func:`assignment_violations`,
+    the one writer of a pairing's problems."""
 
     def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        self.pairs = pairs
         self.partners = (dict(pairs), {b: g for g, b in pairs})
         self.injective = len(self.partners[0]) == len(self.partners[1]) == len(pairs)
 
-    def __call__(self, side: int, rows: list, own: dict, other: dict) -> bool:
+    def __call__(self, side: int, rows: list, own: dict, other: dict) -> bytes | dict:
         partners = self.partners[side]
         places = [*map(own.get, partners)]
-        if None in places:
-            return False  # a paired name that is refused or on no roster
-        paired = [*map(rows.__getitem__, places)]
-        # A wildcard's row is (): every listed member is paired, on its row.
-        return len(rows) - rows.count(()) == len(paired) - paired.count(()) and all(
-            map(contains, compress(paired, paired), compress(partners.values(), paired))
-        )
+        if self.injective and None not in places:  # else a name paired twice, refused or on no roster
+            paired = [*map(rows.__getitem__, places)]
+            # A wildcard's row is (): every listed member is paired, on its row.
+            if len(rows) - rows.count(()) == len(paired) - paired.count(()) and all(
+                map(contains, compress(paired, paired), compress(partners.values(), paired))
+            ):
+                return bytes(map(bool, paired))
+        claimed = {}  # each name paired on this side -> every partner the claim gives it
+        for pair in self.pairs:
+            claimed.setdefault(pair[side], []).append(pair[1 - side])
+        table = {}
+        # ``own`` maps the refused names to None first, then the kept names
+        # to their places, in roster order.
+        for name, place in own.items():
+            if place is not None and (rows[place] or name in claimed):
+                row = rows[place]
+                cut = tuple(filter(row.__contains__, claimed.get(name, ())))
+                table[name] = cut if cut or not row else (None,)
+        return table
 
-    def holds(self, girls_clear: bool, boys_clear: bool) -> bool:
-        return self.injective and girls_clear and boys_clear
+    def problems(self, girl_side, boy_side) -> list[str]:
+        if type(girl_side) is type(boy_side) is bytes:
+            return []  # both tables clear
+        tables = []
+        for partners, reduced in zip(self.partners, (girl_side, boy_side)):
+            if type(reduced) is bytes:
+                # A table that clears: each paired member lists its one
+                # partner, or is a wildcard.
+                reduced = {m: (p,) if listed else () for (m, p), listed in zip(partners.items(), reduced)}
+            tables.append(reduced)
+        instance = SmpInstance(tuple(tables[0]), tuple(tables[1]), *tables)
+        return assignment_violations(instance, Assignment(self.pairs))
 
 
 class _Violator:
     """A violator claim as a per-table consumer: its side's table reduced to
-    the members' rows, as the other side's places, and the other table to
-    whether each member is listed and which violator members it lists."""
+    the members' rows, as the other side's places (None for a member with
+    no kept list), and the other table to whether each member is listed
+    and which violator members it lists."""
 
     def __init__(self, violator: HallViolator):
+        self.violator = violator
         self.side = ("girls", "boys").index(violator.side)
-        self.members, self.union_size = violator.members, violator.union_size
 
     def __call__(self, side: int, rows: list, own: dict, other: dict):
+        members = self.violator.members
         if side == self.side:
-            places = [*map(own.get, self.members)]
-            member_rows = None if None in places else [*map(rows.__getitem__, places)]
-            return None if not member_rows or () in member_rows else _index_rows(member_rows, other)
-        members = set(self.members)
+            member_rows = [() if place is None else rows[place] for place in map(own.get, members)]
+            return [row or None for row in _index_rows(member_rows, other)]
+        members = set(members)
         meeting = compress(count(), map(not_, map(members.isdisjoint, rows)))
         return bytes(map(bool, rows)), {p: members.intersection(rows[p]) for p in meeting}
 
-    def holds(self, girl_side, boy_side) -> bool:
+    def problems(self, girl_side, boy_side) -> list[str]:
+        violator = self.violator
+        members = violator.members
         member_rows, (listed, backs) = (boy_side, girl_side) if self.side else (girl_side, boy_side)
-        if member_rows is None or len(set(self.members)) != len(self.members):
-            return False
+        problems = []
+        if len(set(members)) != len(members):
+            problems.append("violator members repeat")
+        missing = [m for m, row in zip(members, member_rows) if row is None]
+        if missing:
+            problems.append(f"violator members not listed on the {violator.side} side: {missing}")
+            return problems
         # A partner stays on a member's pared row when it is a wildcard or
         # lists the member back.
-        union = {p for m, row in zip(self.members, member_rows) for p in row if not listed[p] or m in backs.get(p, ())}
-        return len(union) == self.union_size < len(self.members)
+        union = {p for m, row in zip(members, member_rows) for p in row if not listed[p] or m in backs.get(p, ())}
+        if len(union) != violator.union_size:
+            problems.append(
+                f"recomputed union size {len(union)} differs from claimed {violator.union_size}"
+            )
+        if len(union) >= len(members):
+            problems.append(
+                f"union of pared lists has {len(union)} members, not smaller than the "
+                f"subset of {len(members)}"
+            )
+        return problems

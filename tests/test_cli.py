@@ -9,6 +9,7 @@ import sys
 import textwrap
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -548,16 +549,11 @@ def claims(draw):
     return inst, HallViolator(side, members, draw(st.integers(0, 6)))
 
 
-INDEX_CACHES = (
-    "girl_index",
-    "boy_index",
-    "girl_lists_idx",
-    "boy_lists_idx",
-    "girl_list_sets",
-    "boy_list_sets",
-    "listed_girl_idx",
-    "listed_boy_idx",
-)
+def violator_problems(inst, violator):
+    """``verify``'s problems with a violator claimed on ``inst``, written
+    as the writers write it."""
+    text = serialize_instance(inst)
+    return fileio.claim_problems(lambda: text, ResultDoc("unsolvable", violator=violator))
 
 
 class TestVerifyClaimOracle:
@@ -565,9 +561,7 @@ class TestVerifyClaimOracle:
     @settings(deadline=None, max_examples=600)
     def test_same_problems_as_paring_everything(self, claim):
         inst, violator = claim
-        expected = reference_violator_problems(inst, violator)
-        fresh = SmpInstance(inst.girls, inst.boys, inst.girl_lists, inst.boy_lists)
-        assert cli._verify_claim(fresh, ResultDoc("unsolvable", violator=violator)) == expected
+        assert violator_problems(inst, violator) == reference_violator_problems(inst, violator)
 
     def test_genuine_claims_are_valid(self):
         inst = SmpInstance.build(
@@ -578,15 +572,20 @@ class TestVerifyClaimOracle:
         )
         violator = solve(inst).violator
         assert violator == HallViolator("girls", ("g1", "g2"), 1)
-        assert cli._verify_claim(inst, ResultDoc("unsolvable", violator=violator)) == []
+        assert violator_problems(inst, violator) == []
 
-    def test_builds_no_whole_instance_cache(self):
+    def test_builds_no_whole_instance_cache(self, monkeypatch):
         inst = SmpInstance.build(
             ["g1", "g2", "g3"], ["b1"], {"g1": ["b1"], "g2": ["b1"]}, {"b1": ["g1", "g2", "g3"]}
         )
-        claim = ResultDoc("unsolvable", violator=HallViolator("girls", ("g1", "g2"), 1))
-        assert cli._verify_claim(inst, claim) == []
-        assert not set(INDEX_CACHES) & set(vars(inst))
+        built = []
+        for name in ("IndexView", "SmpInstance"):
+            monkeypatch.setattr(fileio, name, lambda *args, _name=name: built.append(_name))
+        # Genuine, then forged: neither builds an instance of any kind.
+        for size, problems in ((1, 0), (2, 1)):
+            claim = HallViolator("girls", ("g1", "g2"), size)
+            assert len(violator_problems(inst, claim)) == problems
+        assert built == []
 
 
 BAD_INPUTS = {
@@ -970,15 +969,13 @@ def one_pass_load(text):
     return fileio.prepare_document(lambda: text)
 
 
-def named_load(text):
-    return fileio.prepare_document(lambda: text, names=True)
-
-
-def whole_document_pass(doc, consume):
-    """The checked pass of ``prepare_document`` over a parsed document,
-    with its list tables given ``consume``, as the whole-document path
-    runs it."""
-    return fileio._index_view(fileio._checked_tables(doc.items(), doc.get("refusers", []), consume))
+def whole_document_pass(doc):
+    """The checked pass of ``prepare_document`` over a parsed document, as
+    the whole-document path runs it, as an index view."""
+    checked = fileio._checked_tables(doc.items(), doc.get("refusers", []), fileio._translated)
+    if type(checked) is not list:
+        return checked
+    return IndexView(tuple(checked[0]), tuple(checked[2]), *fileio._sides(checked))
 
 
 def load_outcome(load, text):
@@ -1014,29 +1011,22 @@ def loaded_snapshot(outcome):
     )
 
 
-FILLED_CACHES = ("girl_index", "boy_index", "girl_lists_idx", "boy_lists_idx")
-
-
 def cache_values(instance):
     """The two index row caches."""
     return [instance.girl_lists_idx, instance.boy_lists_idx]
 
 
 def assert_loads_alike(text, check_walk=True):
-    """The one loader gives the name-level path's outcome as both products,
-    and a valid document takes each pass alone, for both products: the
-    whole-document pass over the parsed document and, unless ``check_walk``
-    is false, the walk over the text when the refusers are empty, the last
-    member or before both list tables.  The indexed load gives an IndexView
-    holding the rows a fresh name-level instance builds, the named load
-    builds no index cache."""
+    """The one loader gives the name-level path's outcome, as an IndexView
+    holding the rows a fresh name-level instance builds, and a valid
+    document takes each pass alone: the whole-document pass over the
+    parsed document and, unless ``check_walk`` is false, the walk over the
+    text when the refusers are empty, the last member or before both list
+    tables."""
     got = load_outcome(one_pass_load, text)
     want = load_outcome(reference_load, text)
-    named = load_outcome(named_load, text)
     assert type(got) is (IndexView if isinstance(want, SmpInstance) else type(want))
-    assert type(named) is type(want)
-    for outcome in (got, named):
-        assert loaded_snapshot(outcome) == loaded_snapshot(want)
+    assert loaded_snapshot(got) == loaded_snapshot(want)
     if not isinstance(want, str):
         doc = json.loads(text)
         keys = [*doc]
@@ -1045,12 +1035,10 @@ def assert_loads_alike(text, check_walk=True):
             or keys[-1] == "refusers"
             or keys.index("refusers") < min(keys.index("girl_lists"), keys.index("boy_lists"))
         )
-        for consume in (fileio._translated, None):
-            assert whole_document_pass(doc, consume) is not None
-            if walked:
-                assert fileio._walked_text([text], consume) is not None
-    if isinstance(named, SmpInstance):
-        assert not set(FILLED_CACHES) & vars(named).keys()
+        assert whole_document_pass(doc) is not None
+        if walked:
+            assert fileio._walked_text([text], fileio._translated) is not None
+    if isinstance(want, SmpInstance):
         # The reference load is fresh: its rows are built from its names.
         assert cache_values(got) == cache_values(want)
     return got
@@ -1438,6 +1426,17 @@ def memory_document(n=2000, entries=20, boy_step=89):
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
+def forge_claim(path):
+    """Forge the result file at ``path``: a pairing loses its first pair, a
+    violator's union size grows by one."""
+    doc = json.loads(path.read_text())
+    if doc["status"] == "solved":
+        del doc["assignment"][0]
+    else:
+        doc["violator"]["union_size"] += 1
+    path.write_text(json.dumps(doc))
+
+
 def traced_peak(call):
     """``call()``'s result and its tracemalloc peak in bytes."""
     collecting = gc.isenabled()
@@ -1470,17 +1469,28 @@ class TestLoadMemory:
         # first reads about 1.1.
         assert indexed < 0.85 * whole
 
-    @pytest.mark.parametrize("boy_step, code", [(-97, 0), (89, 1)], ids=["solved", "violator"])
-    def test_verify_peak_well_below_a_whole_parse(self, boy_step, code, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "boy_step, code, forge",
+        [(-97, 0, None), (89, 1, None), (-97, 0, "pairing"), (89, 1, "violator")],
+        ids=["solved", "violator", "pairing less one pair", "violator union + 1"],
+    )
+    def test_verify_peak_well_below_a_whole_parse(self, boy_step, code, forge, tmp_path, capsys):
         data = memory_document(boy_step=boy_step)
         instance, result = tmp_path / "i.json", tmp_path / "r.json"
         instance.write_bytes(data)
         assert main(["solve", str(instance), "--output", str(result)]) == code
+        if forge:
+            forge_claim(result)
         verdict, peak = traced_peak(lambda: main(["verify", str(instance), str(result)]))
-        assert (verdict, capsys.readouterr().out) == (0, "valid\n")
+        out = capsys.readouterr().out
+        if forge:
+            assert (verdict, out.startswith("invalid: ")) == (1, True)
+        else:
+            assert (verdict, out) == (0, "valid\n")
         _, whole = traced_peak(lambda: fileio._load_object(data.decode()))
         # About 0.71 for the pairing and 0.65 for the violator on CPython
-        # 3.10 and 3.11; keeping every row as names read about 1.0.
+        # 3.10 and 3.11, valid or forged; keeping every row as names read
+        # about 1.0.
         assert peak < 0.85 * whole
 
     def test_verify_builds_no_instance_for_a_claim_that_clears(self, tmp_path, monkeypatch, capsys):
@@ -1488,20 +1498,24 @@ class TestLoadMemory:
         init = SmpInstance.__init__
         monkeypatch.setattr(SmpInstance, "__init__", lambda self, *args: built.append(args) or init(self, *args))
         instance, result = tmp_path / "i.json", tmp_path / "r.json"
+        counts = []
         for boy_step, code in ((-97, 0), (89, 1)):
             instance.write_bytes(memory_document(boy_step=boy_step))
             assert main(["solve", str(instance), "--output", str(result)]) == code
             assert main(["verify", str(instance), str(result)]) == 0
             assert capsys.readouterr().out == "valid\n"
-        assert built == []
-        # A claim the pass does not clear goes to the name-level check,
-        # which builds the instance with its rows as names.
-        doc = json.loads(result.read_text())
-        doc["violator"]["union_size"] += 1
-        result.write_text(json.dumps(doc))
-        assert main(["verify", str(instance), str(result)]) == 1
-        assert capsys.readouterr().out.startswith("invalid: recomputed union size")
-        assert len(built) == 1
+            counts.append(len(built))
+            forge_claim(result)
+            assert main(["verify", str(instance), str(result)]) == 1
+            assert capsys.readouterr().out.startswith("invalid: ")
+            counts.append(len(built))
+        # A claim the pass does not clear is checked in the same pass: the
+        # forged violator builds no instance, the forged pairing one
+        # claim-sized instance whose rows hold only the partners it gives.
+        assert counts == [0, 1, 1, 1]
+        (girls, boys, girl_lists, boy_lists), = built
+        assert girls == tuple(girl_lists) and boys == tuple(boy_lists)
+        assert {len(row) for row in chain(girl_lists.values(), boy_lists.values())} == {1}
 
     def test_text_freed_before_the_last_table_is_translated(self, monkeypatch):
         data = memory_document()
@@ -1532,7 +1546,7 @@ class TestLoadMemory:
         if path == "walk":
             view = fileio.prepare_document(lambda: text)
         else:
-            view = whole_document_pass(json.loads(text), fileio._translated)
+            view = whole_document_pass(json.loads(text))
         assert type(view) is IndexView
         (boy_map, girl_map), translated = others.values()
         assert len(translated) == 2
@@ -1567,7 +1581,6 @@ class TestLoadPaths:
         for module, name in (
             (fileio, "_raw_instance"),
             (fileio, "validate_raw"),
-            (fileio, "preprocess_refusals"),
             (instances, "_index_rows"),
         ):
             def counting(*args, _name=name, _original=getattr(module, name)):
@@ -1631,17 +1644,26 @@ class TestLoadPaths:
         path = write_doc(tmp_path, "i.json", dict(I1_DOC, girl_lists=girl_lists, boy_lists={}))
         result = str(tmp_path / "r.json")
         assert main(["solve", path, "--output", result]) == code
-        seen = []
-        check_claim = cli._verify_claim
-        monkeypatch.setattr(
-            cli, "_verify_claim", lambda prepared, claim: seen.append(prepared) or check_claim(prepared, claim)
-        )
+        built = []
+        for name in ("IndexView", "SmpInstance"):
+            monkeypatch.setattr(fileio, name, lambda *args, _name=name: built.append(_name))
         assert main(["verify", path, result]) == 0
         assert capsys.readouterr().out == "valid\n"
-        # The claim clears inside the checked pass: no instance reaches the
-        # name-level check.
-        assert seen == []
+        # The claim clears inside the checked pass: no instance is built,
+        # indexed or named, and the name-level path never runs.
+        assert built == []
         assert calls == {}
+
+    def test_infeasible_claim_translates_no_row(self, tmp_path, monkeypatch, capsys):
+        path = write_doc(tmp_path, "i.json", LOAD_BASE)
+        result = write_doc(tmp_path, "r.json", {"status": "infeasible", "infeasible_member": "g1"})
+        translated = []
+        monkeypatch.setattr(fileio, "_index_rows", lambda rows, other: translated.append(rows))
+        assert main(["verify", path, result]) == 1
+        assert capsys.readouterr().out == "invalid: instance survives refusal preprocessing\n"
+        # Only whether the refusals empty a list matters: each table is
+        # dropped as the pass hands it over.
+        assert translated == []
 
     @pytest.mark.parametrize("girl_lists, code", [({"g1": ["b1"]}, 0), ({"g1": ["b1"], "g2": ["b1"]}, 1)])
     def test_verify_walks_the_instance_text(self, girl_lists, code, tmp_path, monkeypatch, capsys):
@@ -1686,20 +1708,37 @@ class TestLoadPaths:
         return order
 
     @pytest.mark.parametrize(
-        "refusers, code", [([], 0), (["b3"], 0), (["b1"], 2)], ids=["plain", "refuser", "emptied"]
+        "change, code",
+        [
+            ({"refusers": []}, 0),
+            ({"refusers": ["b3"]}, 0),
+            ({"refusers": ["b1"]}, 2),
+            ({"girl_lists": {"g1": ["b1"], "x": ["b1"]}}, 1),
+        ],
+        ids=["plain", "refuser", "emptied", "unsolvable"],
     )
-    def test_each_command_runs_the_checked_pass_once(self, refusers, code, tmp_path, passes, capsys):
-        path = write_doc(tmp_path, "i.json", dict(LOAD_BASE, refusers=refusers))
-        result = str(tmp_path / "r.json")
+    def test_each_command_runs_the_checked_pass_once(self, change, code, tmp_path, passes, capsys):
+        path = write_doc(tmp_path, "i.json", dict(LOAD_BASE, **change))
+        result = tmp_path / "r.json"
         runs = [
-            (["solve", path, "--method", method, "--output", result], code)
+            (["solve", path, "--method", method, "--output", str(result)], code)
             for method in ("star", "subproblems", "weight")
         ]
-        runs += [(["check", path], code), (["verify", path, result], 0)]
+        runs += [(["check", path], code), (["verify", path, str(result)], 0)]
         for argv, expected in runs:
             passes.clear()
             assert main(argv) == expected
             assert passes == ["_checked_tables"], argv
+        # An invalid claim takes the one pass too: the solver's pairing less
+        # one pair, its violator with the union size + 1, or an infeasible
+        # claim on a document its refusals do not empty.
+        if code != 2:
+            forge_claim(result)
+            for text in (result.read_text(), json.dumps({"status": "infeasible", "infeasible_member": "g1"})):
+                result.write_text(text)
+                passes.clear()
+                assert main(["verify", path, str(result)]) == 1
+                assert passes == ["_checked_tables"], text
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["solve", "check", "verify"])

@@ -1,14 +1,16 @@
 """``verify``'s claim check inside the checked pass, against the name-level
-check, and the order in which ``verify`` reports a bad instance and a bad
-result.
+check; the order in which ``verify`` reports a bad instance and a bad
+result; and the guard on a pass that rejects a valid document.
 
-``fileio.claim_cleared`` reduces each list table to what a pairing or a
-violator needs as soon as the pass has filtered it; ``cli._verify_claim``
-checks the claim against the instance the name-level load builds, and
-writes every message.  A differential test (McKeeman, "Differential
-testing for software", 1998) draws documents and claims, solver outputs
-and forgeries, and holds the first to clearing a claim exactly when the
-second finds no problem.
+``fileio.claim_problems`` reduces each list table to what a pairing or a
+violator needs as soon as the pass has filtered it, and writes every
+problem it finds with the claim.  The name-level check re-derives the
+claim from the whole instance the reference load builds, through
+``assignment_violations`` or ``reference_violator_problems``.  A
+differential test (McKeeman, "Differential testing for software", 1998)
+draws documents and claims, solver outputs and forgeries, and holds the
+two to the same problems, message for message, or the same error for a
+bad document.
 """
 
 import json
@@ -17,16 +19,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symmarriage import HallViolator, SmpInstance, Unsolvable, cli, fileio, solve
+from symmarriage import (
+    Assignment,
+    HallViolator,
+    Infeasible,
+    SmpInstance,
+    Unsolvable,
+    assignment_violations,
+    fileio,
+    solve,
+)
 from symmarriage.cli import main
 from symmarriage.fileio import ParseError, ResultDoc, serialize_result
 
-from .test_cli import instance_objects, laid_out, load_outcome, reference_load
+from .test_cli import (
+    LOAD_BASE,
+    instance_objects,
+    laid_out,
+    load_outcome,
+    reference_load,
+    reference_violator_problems,
+)
 
 
 def named_problems(text, result):
-    """The name-level check: the instance loaded with its rows as names."""
-    return cli._verify_claim(fileio.prepare_document(lambda: text, names=True), result)
+    """The name-level check: the claim re-derived from the reference load."""
+    prepared = reference_load(text)
+    if result.status == "infeasible":
+        if not isinstance(prepared, Infeasible):
+            return ["instance survives refusal preprocessing"]
+        if prepared.member != result.infeasible_member:
+            return [f"preprocessing empties the list of '{prepared.member}', not '{result.infeasible_member}'"]
+        return []
+    if isinstance(prepared, Infeasible):
+        return [f"refusals empty the list of '{prepared.member}'"]
+    if result.status == "solved":
+        return assignment_violations(prepared, Assignment(result.assignment))
+    return reference_violator_problems(prepared, result.violator)
 
 
 def check_outcome(check, text, result):
@@ -38,15 +67,11 @@ def check_outcome(check, text, result):
 
 
 def assert_cleared_alike(text, result):
-    """The in-pass check clears the claim exactly when the name-level check
-    finds no problem, and raises the same error for a bad document."""
-    cleared = check_outcome(lambda t, r: fileio.claim_cleared(lambda: t, r), text, result)
-    problems = check_outcome(named_problems, text, result)
-    if isinstance(problems, str):
-        assert cleared == problems
-    else:
-        assert cleared is (problems == []), problems
-    return cleared
+    """The in-pass check finds the name-level check's problems, in its
+    order, and raises the same error for a bad document."""
+    problems = check_outcome(lambda t, r: fileio.claim_problems(lambda: t, r), text, result)
+    assert problems == check_outcome(named_problems, text, result)
+    return problems
 
 
 def strings(value):
@@ -103,9 +128,10 @@ def forged_violators(draw, violator, girls, boys, refused):
 
 @st.composite
 def claimed_documents(draw):
-    """A document from ``instance_objects``, laid out, and a pairing or a
-    violator claimed on it: the solver's answer when the document is valid
-    and survives its refusals, or a forgery."""
+    """A document from ``instance_objects``, laid out, and a pairing, a
+    violator or an infeasible member claimed on it: the solver's answer
+    when the document is valid and survives its refusals, the member its
+    refusals empty when they empty one, or a forgery."""
     doc = draw(instance_objects())
     text = laid_out(draw, doc)
     girls, boys = strings(doc.get("girls")) + ["gz"], strings(doc.get("boys")) + ["bz"]
@@ -123,9 +149,13 @@ def claimed_documents(draw):
                 [m for m, row in lists.items() if not row and m not in paired]
                 for lists in (want.girl_lists, want.boy_lists)
             )
-    if draw(st.booleans()):
+    status = draw(st.sampled_from(["solved", "unsolvable", "infeasible"]))
+    if status == "solved":
         return text, ResultDoc("solved", assignment=draw(forged_pairs(pairs, girls, boys, refused, wildcards)))
-    return text, ResultDoc("unsolvable", violator=draw(forged_violators(violator, girls, boys, refused)))
+    if status == "unsolvable":
+        return text, ResultDoc("unsolvable", violator=draw(forged_violators(violator, girls, boys, refused)))
+    emptied = [want.member] if isinstance(want, Infeasible) else []
+    return text, ResultDoc("infeasible", infeasible_member=draw(st.sampled_from(emptied + girls + boys)))
 
 
 # After its refusals (g6, b6) the pairing document keeps g1-g5 and b1-b5:
@@ -188,7 +218,7 @@ FORGED_VIOLATORS = {
 class TestClaimCheckOracle:
     @given(claimed_documents())
     @settings(deadline=None, max_examples=400)
-    def test_clears_exactly_when_the_name_level_check_finds_nothing(self, claim):
+    def test_same_problems_as_the_name_level_check(self, claim):
         assert_cleared_alike(*claim)
 
     @pytest.mark.parametrize("case", list(FORGED_PAIRS))
@@ -204,11 +234,12 @@ class TestClaimCheckOracle:
     @staticmethod
     def assert_verdict(doc, result, clear, tmp_path, capsys):
         text = json.dumps(doc, indent=2)
-        assert assert_cleared_alike(text, result) is clear
-        # verify prints the name-level check's verdict, in both layouts the
+        problems = assert_cleared_alike(text, result)
+        assert (problems == []) is clear
+        # verify prints the name-level check's problems, in both layouts the
         # pass reads: refusers last (the walk) and between the list tables
         # (the parsed document).
-        lines = "".join(f"invalid: {p}\n" for p in named_problems(text, result)) or "valid\n"
+        lines = "".join(f"invalid: {p}\n" for p in problems) or "valid\n"
         keys = ["version", "girls", "boys", "girl_lists", "refusers", "boy_lists"]
         for name, layout in (("walked", text), ("whole", json.dumps({k: doc[k] for k in keys}))):
             instance, claim = tmp_path / f"{name}.json", tmp_path / "claim.json"
@@ -272,3 +303,20 @@ class TestVerifyErrorOrder:
     def test_infeasible_instance_with_its_infeasible_claim(self, tmp_path, capsys):
         result = '{"status": "infeasible", "infeasible_member": "g1"}'
         assert self.run(tmp_path, capsys, EMPTIED_DOC, result) == (0, "valid\n", "")
+
+
+class TestPassGuard:
+    """A checked pass that rejects a document the name-level checks accept
+    is a fault of the program: one ``internal error`` line and exit 70,
+    with or without asserts."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_pass_that_rejects_a_valid_document(self, command, tmp_path, monkeypatch, capsys):
+        instance, result = tmp_path / "i.json", tmp_path / "r.json"
+        instance.write_text(json.dumps(LOAD_BASE))
+        assert main(["solve", str(instance), "--output", str(result)]) == 0
+        monkeypatch.setattr(fileio, "_checked_tables", lambda *args: None)
+        argv = {"solve": ["solve", str(instance)], "verify": ["verify", str(instance), str(result)]}[command]
+        assert main(argv) == 70
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n"), err.startswith("internal error: ")) == ("", 1, True)

@@ -144,8 +144,7 @@ class TestWalkDifferential:
     @example(FRAME_TEXT.replace("{\n", '{\n  "version": 1,\n', 1))
     @settings(deadline=None, max_examples=300)
     def test_walk_reads_as_json_and_loads_as_the_name_level_path(self, text):
-        # Both products, IndexView and named rows, against the name-level
-        # path.
+        # The loaded view against the name-level path.
         assert_loads_alike(text, check_walk=False)
         # Where the walk reads the text, it reads json's members; repr tells
         # NaN values apart.
