@@ -71,6 +71,17 @@ class Matching:
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
             raise ValueError("matching touches a vertex twice")
 
+    @classmethod
+    def _from_checked_pairs(cls, pairs: tuple[tuple[int, int], ...]) -> "Matching":
+        """A matching the matcher built, which touches each vertex once.
+
+        Skips the check of ``__post_init__``, which the public constructor
+        would pass on the same pairs.
+        """
+        matching = object.__new__(cls)
+        object.__setattr__(matching, "pairs", pairs)
+        return matching
+
     @cached_property
     def left_map(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -149,7 +160,7 @@ def max_matching(
             # Would repeat the same phase forever.
             raise InvariantError("a phase with an augmenting path augmented nothing")
     pairs = tuple((u, match_l[u]) for u in range(n_left) if match_l[u] != -1)
-    return Matching(pairs)
+    return Matching._from_checked_pairs(pairs)
 
 
 def _bfs_layers(adj, match_l, match_r, dist) -> int | None:

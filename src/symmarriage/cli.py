@@ -31,6 +31,7 @@ import sys
 from .fileio import (
     ParseError,
     ResultDoc,
+    check_document,
     claim_problems,
     parse_result,
     prepare_document,
@@ -209,8 +210,7 @@ def _load_instance(path: str) -> IndexRows | Infeasible:
     (:func:`~symmarriage.fileio.prepare_document`); ParseError for
     unreadable, malformed or invalid documents."""
     # The loader reads the file itself, so it holds the only reference to
-    # the text and frees it once the walk ends, before the last list table
-    # is translated.
+    # the text and frees it once the load returns.
     return prepare_document(functools.partial(_input_text, path))
 
 
@@ -315,12 +315,12 @@ def _cmd_verify(args) -> int:
     one checked pass, which writes every problem
     (:func:`~symmarriage.fileio.claim_problems`).  The result is read
     first; one that cannot be read or parsed is reported only after the
-    instance's own errors."""
+    instance's own errors (:func:`~symmarriage.fileio.check_document`)."""
     read = functools.partial(_input_text, args.instance)
     try:
         result = parse_result(_input_text(args.result))
     except ParseError:
-        prepare_document(read)
+        check_document(read)
         raise
     problems = claim_problems(read, result)
     for p in problems:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, count, filterfalse, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring
-from operator import contains, not_
+from operator import contains, is_not, not_
+from types import GeneratorType
 
 from .hall import HallViolator
 from .instances import (
@@ -37,6 +38,7 @@ INSTANCE_VERSION = 1
 
 _INSTANCE_KEYS = ("version", "girls", "boys", "girl_lists", "boy_lists", "refusers")
 _KEYS = frozenset(_INSTANCE_KEYS)
+_TABLES = ("girl_lists", "boy_lists")
 _REQUIRED_KEYS = frozenset(_INSTANCE_KEYS[:-1])
 _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
@@ -48,6 +50,12 @@ _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 # The end of an object document after its last member's value.
 _CLOSING = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*\Z")
+# About how many characters of a list table's text the walk parses at once.
+_CHUNK = 1 << 16
+# A list table's value in the checked pass when it comes in chunks: the walk's
+# generator, or its chunks held until both rosters are known (json.loads
+# yields no tuple, so no document's own value is taken for one).
+_CHUNKED = (GeneratorType, tuple)
 
 
 class ParseError(ValueError):
@@ -65,11 +73,15 @@ class ResultDoc:
 
 
 def _reject_duplicate_keys(pairs):
-    table = {}
-    for key, value in pairs:
-        if key in table:
-            raise ParseError(f"duplicate key '{key}'")
-        table[key] = value
+    # One C-level build per object; only an object with a repeated key is
+    # walked again, for the first key that repeats.
+    table = dict(pairs)
+    if len(table) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate key '{key}'")
+            seen.add(key)
     return table
 
 
@@ -149,18 +161,27 @@ def prepare_document(read: Callable[[], str]) -> IndexView | Infeasible:
     """An instance document's text, validated and its refusals applied, as
     an :class:`IndexView` (solve, check).
 
-    ``read()`` gives the text; the loader keeps the only reference to it.
-    The walk (:func:`_walked_text`) parses the top-level members one at a
-    time, so that, rows translated, only one list table's names are alive
-    at once, and frees the text before the last table is translated.
-    Every error message and every infeasible member is the name-level
-    path's: :func:`validate_raw` and :func:`preprocess_refusals` of
+    ``read()`` gives the text; the loader keeps the only reference to it,
+    so it is freed once the load returns.  The walk (:func:`_walked_text`)
+    parses the top-level members one at a time and each list table a chunk
+    of rows at a time (:func:`_table_chunks`); each chunk is checked,
+    filtered and translated into its rows' roster slots before the next is
+    parsed, so no whole table of names is ever built.  Every error message
+    and every infeasible member is the name-level path's:
+    :func:`validate_raw` and :func:`preprocess_refusals` of
     :func:`parse_instance`'s instance (:func:`_checked_document`).
     """
-    checked = _checked_document(read, _translated)
+    checked = _checked_document(read, _translated, _index_rows)
     if type(checked) is Infeasible:
         return checked
-    return IndexView(tuple(checked[0]), tuple(checked[2]), *_sides(checked))
+    return IndexView(tuple(checked[0]), tuple(checked[2]), checked[1], checked[3])
+
+
+def check_document(read: Callable[[], str]) -> None:
+    """Raise the ParseError :func:`prepare_document` raises for the instance
+    document ``read()`` gives, if any, through the same checked pass, which
+    here keeps no row."""
+    _checked_document(read, _dropped, _marked)
 
 
 def claim_problems(read: Callable[[], str], result: ResultDoc) -> list[str]:
@@ -172,30 +193,32 @@ def claim_problems(read: Callable[[], str], result: ResultDoc) -> list[str]:
     an infeasible claim, so no instance-sized table is built.
     """
     if result.status == "infeasible":
-        checked = _checked_document(read, _dropped)
+        checked = _checked_document(read, _dropped, _marked)
         if type(checked) is not Infeasible:
             return ["instance survives refusal preprocessing"]
         if checked.member != result.infeasible_member:
             return [f"preprocessing empties the list of '{checked.member}', not '{result.infeasible_member}'"]
         return []
     claim = _Pairing(result.assignment) if result.status == "solved" else _Violator(result.violator)
-    checked = _checked_document(read, claim)
+    checked = _checked_document(read, claim, _named)
     if type(checked) is Infeasible:
         return [f"refusals empty the list of '{checked.member}'"]
-    return claim.problems(*_sides(checked))
+    return claim.problems(checked[1], checked[3])
 
 
-def _checked_document(read: Callable[[], str], consume) -> list | Infeasible:
+def _checked_document(read: Callable[[], str], consume, place) -> list | Infeasible:
     """The checked pass over the document ``read()`` gives, each list table
-    handed to ``consume``: on the walk, else on the document parsed whole
-    by :func:`_load_object`.  A document the pass rejects raises the
-    ParseError of the name-level checks, those of :func:`parse_instance`
-    and then :func:`validate_raw`, which name every problem."""
-    box = [read()]
-    checked = _walked_text(box, consume)
+    placed by ``place`` and handed to ``consume``: on the walk, else on the
+    document parsed whole by :func:`_load_object`.  A document the pass
+    rejects raises the ParseError of the name-level checks, those of
+    :func:`parse_instance` and then :func:`validate_raw`, which name every
+    problem."""
+    text = read()
+    checked = _walked_text(text, consume, place)
     if checked is None:
-        doc = _load_object(box.pop())
-        checked = _checked_tables(doc.items(), doc.get("refusers", []), consume)
+        doc = _load_object(text)
+        del text
+        checked = _checked_tables(doc.items(), doc.get("refusers", []), consume, place)
         if checked is None:
             problems = validate_raw(_raw_instance(doc))
             if problems:
@@ -205,64 +228,80 @@ def _checked_document(read: Callable[[], str], consume) -> list | Infeasible:
 
 
 def _translated(side: int, rows: list, own: dict, other: dict) -> tuple[tuple[int, ...], ...]:
-    """The per-table consumer of solve and check: rows as index rows."""
-    return _index_rows(rows, other)
+    """The per-table consumer of solve and check, whose rows were placed as
+    index rows (:func:`_index_rows`)."""
+    return tuple(rows)
 
 
 def _dropped(side: int, rows: list, own: dict, other: dict) -> None:
-    """The per-table consumer of an infeasible claim, which reads no row."""
+    """The per-table consumer of a pass whose result reads no row."""
 
 
-def _checked_tables(members, refusers, consume) -> list | Infeasible | None:
+def _named(rows, other: dict):
+    """The placement of a claim check: each row as its names."""
+    return rows
+
+
+def _marked(rows, other: dict):
+    """The placement of a pass that reads no row: a mark per row."""
+    return repeat(True)
+
+
+def _checked_tables(members, refusers, consume, place) -> list | Infeasible | None:
     """The one checked pass behind every load: ``[girls, girl_side, boys,
     boy_side]`` for the kept members, in roster order, or the first member
     (girls first) whose list the refusals empty; None for any anomaly.
 
     ``members`` gives the document's top-level (key, value) pairs, in any
-    order, and ``refusers`` the refusers to apply until the document's own
-    arrive; it returns None when these differ from refusers it has already
-    applied to a list table.  A row is the document's own array less its
-    refused names, or ``()`` for a wildcard.  A list table is checked,
-    filtered and dropped as soon as both rosters are known, checked
-    against each side's place map (:func:`_kept_rosters`).  A side is what
-    ``consume(side, rows, own, other)`` (side 0 the girls, then the two
-    place maps) makes of its rows: the first table handled is replaced by
-    it at once, before the next member is parsed; the other is returned
-    as a ``partial`` that does so, for the caller to call once it has
-    freed what it parsed (:func:`_sides`).  Both tables, the refusers' own
-    lists included, are checked before any refusal can empty a row, so an
-    emptied list never hides a bad table.
+    order, a list table's value as one object or as a generator of chunks
+    (:func:`_table_chunks`), and ``refusers`` the refusers to apply until
+    the document's own arrive; it returns None when these differ from
+    refusers it has already applied to a list table.  A list table is
+    checked and filtered chunk by chunk as soon as both rosters are known,
+    against each side's place map (:func:`_kept_rosters`); the chunks of
+    one that arrives before are held until then.  ``place(rows, other)``
+    gives what each kept row of a chunk leaves in its roster slot, the row
+    less its refused names, and a side is what ``consume(side, slots, own,
+    other)`` (side 0 the girls, then the two place maps) makes of its
+    slots, ``()`` for a wildcard, once its table is checked.  Both tables,
+    the refusers' own lists included, are checked before any refusal can
+    empty a row, so an emptied list never hides a bad table.
     """
     frame = {}  # each member met; a list table only until it is handled
     rosters = None  # each side's kept roster and place map, once both pass
-    rows = {}  # side -> its kept rows, or the first member they empty
+    sides = {}  # side -> what consume made of its rows, or the first member they empty
     for key, value in members:
         if key not in _KEYS:
             return None
         if key == "refusers" and value != refusers:
-            if rows:
+            if sides:
                 return None  # a list table was filtered by other refusers
             refusers, rosters = value, None
         frame[key] = value
         del value
         if rosters is None:
             if "girls" not in frame or "boys" not in frame:
+                if type(frame[key]) is GeneratorType:
+                    frame[key] = (*frame[key],)  # its chunks, held until both rosters are known
                 continue
             checked = _kept_rosters(frame["girls"], frame["boys"], refusers)
             if checked is None:
                 return None
             refuse, rosters = checked
         for side, field in enumerate(("girl_lists", "boy_lists")):
-            if side in rows or field not in frame:
+            if side in sides or field not in frame:
                 continue
             (roster, own), (_, other) = rosters[side], rosters[1 - side]
-            kept = _kept_rows(frame[field], roster, own, other, refuse)
+            chunks = frame[field]
             frame[field] = None
+            if type(chunks) not in _CHUNKED:
+                chunks = (chunks,)  # parsed with the document
+            kept = _kept_rows(chunks, roster, own, other, refuse, place)
+            del chunks
             if kept is None:
                 return None
-            if type(kept) is list:
-                kept = partial(consume, side, kept, own, other) if rows else consume(side, kept, own, other)
-            rows[side] = kept
+            sides[side] = consume(side, kept, own, other) if type(kept) is list else kept
+            del kept  # the slots, which consume may have reduced
     if not _REQUIRED_KEYS <= frame.keys():
         return None
     version = frame["version"]
@@ -271,9 +310,9 @@ def _checked_tables(members, refusers, consume) -> list | Infeasible | None:
     if frame.get("refusers", []) != refusers:
         return None  # refusers read ahead that the walk never met
     for side in (0, 1):
-        if type(rows[side]) is Infeasible:
-            return rows[side]
-    return [rosters[0][0], rows[0], rosters[1][0], rows[1]]
+        if type(sides[side]) is Infeasible:
+            return sides[side]
+    return [rosters[0][0], sides[0], rosters[1][0], sides[1]]
 
 
 def _kept_rosters(girls, boys, refusers):
@@ -300,25 +339,48 @@ def _kept_rosters(girls, boys, refusers):
     return refuse, rosters
 
 
-def _kept_rows(table, roster, own: dict, other: dict, refuse: set) -> list | Infeasible | None:
-    """One side's rows for its kept ``roster``, less their refused names,
-    or the first member whose row the refusals empty; None when the list
-    table fails :func:`_names_table_ok`."""
-    if not _names_table_ok(table, own, other):
+def _kept_rows(chunks, roster, own: dict, other: dict, refuse: set, place) -> list | Infeasible | None:
+    """One side's roster slots, each holding what ``place`` made of its
+    kept member's row less the refused names, ``()`` for a wildcard; or
+    the first member whose row the refusals empty.  None when a chunk of
+    the list table fails :func:`_names_table_ok` or a key repeats across
+    chunks."""
+    slots = [()] * len(roster)
+    keys, refused = 0, []  # every key met, and those of refused members
+    emptied = len(roster)  # the first place whose row the refusals empty
+    for chunk in chunks:
+        if not _names_table_ok(chunk, own, other):
+            return None
+        keys += len(chunk)
+        places, rows = map(own.__getitem__, chunk), chunk.values()
+        if refuse:
+            places, rows = [*places], [*rows]
+            # Only the rows listing a refuser change; an emptied row is kept
+            # whole, as the side is then the member it belongs to.
+            for i in [*compress(count(), map(not_, map(refuse.isdisjoint, rows)))]:
+                if places[i] is not None:
+                    row = [*filterfalse(refuse.__contains__, rows[i])]
+                    if row:
+                        rows[i] = row
+                    elif places[i] < emptied:
+                        emptied = places[i]
+            if None in places:  # a refused member's row is checked, never kept
+                kept = [*map(is_not, places, repeat(None))]
+                refused += compress(chunk, map(not_, kept))
+                places, rows = [*compress(places, kept)], [*compress(rows, kept)]
+        deque(map(slots.__setitem__, places, place(rows, other)), 0)  # placed at C level
+    # A key met in two chunks fills one slot.
+    if len(slots) - slots.count(()) + len(set(refused)) != keys:
         return None
-    rows = [*map(table.get, roster, repeat(()))]
-    if refuse:
-        # Only the rows listing a refuser change, in roster order.
-        for i in [*compress(count(), map(not_, map(refuse.isdisjoint, rows)))]:
-            rows[i] = [*filterfalse(refuse.__contains__, rows[i])]
-            if not rows[i]:
-                return Infeasible(roster[i])
-    return rows
+    if emptied < len(roster):
+        return Infeasible(roster[emptied])
+    return slots
 
 
 def _names_table_ok(table, own: dict, other: dict) -> bool:
-    """Whether a list table is an object keyed by names ``own`` maps whose
-    rows are non-empty arrays of distinct names ``other`` maps."""
+    """Whether a list table, or a chunk of one, is an object keyed by names
+    ``own`` maps whose rows are non-empty arrays of distinct names
+    ``other`` maps."""
     if type(table) is not dict or not table.keys() <= own.keys():
         return False
     rows = table.values()
@@ -332,35 +394,22 @@ def _names_table_ok(table, own: dict, other: dict) -> bool:
         return False  # an unhashable entry
 
 
-def _walked_text(box: list, consume) -> list | Infeasible | None:
-    """The walk of :func:`prepare_document` on the text in ``box``: each
-    member parsed by :func:`_text_members` goes into the checked pass as it
-    arrives, with ``consume`` for its list tables.  The refusers are read
-    ahead from the text's tail, where every writer puts them; the pass
-    takes the document's own when the walk meets them before any list
-    table.  ``box`` is emptied once the walk has ended.  None, the text
-    left in ``box``, for any anomaly, refusers met between the list tables
-    included."""
-    text = box[0]
+def _walked_text(text: str, consume, place) -> list | Infeasible | None:
+    """The walk of :func:`prepare_document` over ``text``: each member
+    parsed by :func:`_text_members`, a list table chunk by chunk, goes into
+    the checked pass as it arrives.  The refusers are read ahead from the
+    text's tail, where every writer puts them; the pass takes the
+    document's own when the walk meets them before any list table.  None
+    for any anomaly, refusers met between the list tables included."""
     if _SURROGATE_ESCAPE.search(text):
         return None  # _load_object tests the whole document for a lone surrogate
     # The C scanner json.loads(text, object_pairs_hook=...) parses with.
     scan_once = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
-    refusers = _refusers_ahead(text, scan_once)
     members = _text_members(text, scan_once)
-    del text
     try:
-        checked = _checked_tables(members, refusers, consume)
+        return _checked_tables(members, _refusers_ahead(text, scan_once), consume, place)
     except _Unwalkable:
         return None
-    if checked is not None:
-        box.clear()  # the walk has ended: the text goes before the last table is consumed
-    return checked
-
-
-def _sides(checked: list) -> list:
-    """The checked pass's two sides, the one whose consumer waited called now."""
-    return [side() if type(side) is partial else side for side in checked[1::2]]
 
 
 def _skip_space(text: str, idx: int) -> int:
@@ -395,9 +444,12 @@ class _Unwalkable(Exception):
 def _text_members(text: str, scan_once):
     """Yield the top-level members of an object document one (key, value)
     pair at a time, each value parsed by ``scan_once`` as ``json.loads``
-    parses it.  Raises :class:`_Unwalkable` where ``json.loads`` would not
-    give the same members: a syntax error, trailing data, a repeated key,
-    an integer past the int-string limit or nesting too deep."""
+    parses it, except that a list table's object is yielded as the
+    generator of its chunks (:func:`_table_chunks`), which must be run out
+    before the next member is asked for.  Raises :class:`_Unwalkable` where
+    ``json.loads`` would not give the same members: a syntax error,
+    trailing data, a repeated key, an integer past the int-string limit or
+    nesting too deep."""
     keys = set()
     try:
         idx = _skip_space(text, 0)
@@ -410,9 +462,15 @@ def _text_members(text: str, scan_once):
             if key in keys or not text.startswith(":", idx):
                 raise _Unwalkable
             keys.add(key)
-            value, idx = scan_once(text, _skip_space(text, idx + 1))
-            yield key, value
-            del value  # before the next member is parsed
+            idx = _skip_space(text, idx + 1)
+            if key in _TABLES and text.startswith("{", idx):
+                end = []
+                yield key, _table_chunks(text, idx, scan_once, end)
+                idx = end[0]
+            else:
+                value, idx = scan_once(text, idx)
+                yield key, value
+                del value  # before the next member is parsed
             idx = _skip_space(text, idx)
             if text.startswith(",", idx):
                 idx = _skip_space(text, idx + 1)
@@ -423,6 +481,42 @@ def _text_members(text: str, scan_once):
     except (ValueError, RecursionError, StopIteration) as exc:
         raise _Unwalkable from exc
     raise _Unwalkable
+
+
+def _table_chunks(text: str, idx: int, scan_once, end: list):
+    """Yield the members of the object at ``text[idx]`` as dicts of whole
+    rows, each parsed by ``scan_once`` from about :data:`_CHUNK` characters
+    of the text cut after a ``]`` that a ``,`` follows, as ``"{" + piece +
+    "}"``; then append the index past the object to ``end``.  A piece
+    whose parse stops short of its end holds the object's close, and ends
+    it.  Raises :class:`_Unwalkable` where ``json.loads`` would not read
+    the same members: a parse error (a cut inside a string included, which
+    no parse gets past), an empty piece after a comma, or any error of
+    :func:`_text_members`; a key repeated across chunks is the checked
+    pass's to find."""
+    start = idx + 1
+    try:
+        while True:
+            cut = text.find("],", start + _CHUNK)
+            if cut < 0 and start == idx + 1:
+                value, stop = scan_once(text, idx)  # no cut: the object whole
+                yield value
+                end.append(stop)
+                return
+            # "{" stands in for the comma before a piece after the first.
+            piece = "{" + text[start : cut + 1] + "}" if cut >= 0 else "{" + text[start:]
+            value, stop = scan_once(piece, 0)
+            del piece
+            if not value and start > idx + 1:
+                raise _Unwalkable  # a comma before the object's close
+            yield value
+            del value
+            if cut < 0 or stop < cut + 3 - start:
+                end.append(start + stop - 1)
+                return
+            start = cut + 2
+    except (ValueError, RecursionError, StopIteration) as exc:
+        raise _Unwalkable from exc
 
 
 def serialize_instance(instance: SmpInstance | RawInstance) -> str:

@@ -21,8 +21,9 @@ pairing of every listed member.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from operator import not_
 
 from .bipartite import (
@@ -204,9 +205,10 @@ def find_mismatches(star: StarGraph, matching: Matching) -> MismatchReport:
     return MismatchReport(tuple(entries))
 
 
-def _pairing(star: StarGraph, pair_left: dict, stats: dict | None) -> list[tuple[int, int]]:
-    """The mutual pairing read off ``pair_left``, a full-size star matching,
-    as (girl, boy) pairs in girl order, in one Mendelsohn-Dulmage pass.
+def _pairing(star: StarGraph, pairs: Iterable[tuple[int, int]], stats: dict | None) -> list[tuple[int, int]]:
+    """The mutual pairing read off ``pairs``, the (left, right) vertex pairs
+    of a full-size star matching, read once, as (girl, boy) pairs in girl
+    order, in one Mendelsohn-Dulmage pass.
 
     Each listed girl points at the boy whose list node or wildcard core she
     holds, and each listed boy at the girl whose list node or wildcard core
@@ -218,14 +220,18 @@ def _pairing(star: StarGraph, pair_left: dict, stats: dict | None) -> list[tuple
     once, so a walk that outgrows them raises ``InvariantError``, as does a
     pairing that does not match every listed member exactly once.  Records
     ``initial_mismatches`` and ``iterations`` (the paths and cycles that
-    hold a mismatched edge) in ``stats`` when given.
+    hold a mismatched edge) in ``stats`` when given, for which alone the
+    pairs are kept, as a map from left to right vertex.
     """
     n_g, n_b = len(star.instance.girls), len(star.instance.boys)
     listed_g, listed_b = star.listed_girls, star.listed_boys
     boy_rows = star.instance.boy_lists_idx
     boy_of = [-1] * n_g
     girl_of = [-1] * n_b
-    for u, v in pair_left.items():
+    if stats is not None:
+        pair_left = dict(pairs)
+        pairs = pair_left.items()
+    for u, v in pairs:
         if u >= n_g:
             girl_of[v] = listed_g[u - n_g]
         elif v >= n_b:
@@ -247,9 +253,9 @@ def _pairing(star: StarGraph, pair_left: dict, stats: dict | None) -> list[tuple
                 break
         else:
             raise InvariantError("pairing walk outgrew the listed boys")
-    pairs = [(g, b) for g, b in enumerate(partner) if b >= 0]
-    taken = {b for _, b in pairs}
-    if len(taken) < len(pairs) or not taken.issuperset(listed_b) or -1 in map(
+    pairing = [(g, b) for g, b in enumerate(partner) if b >= 0]
+    taken = {b for _, b in pairing}
+    if len(taken) < len(pairing) or not taken.issuperset(listed_b) or -1 in map(
         partner.__getitem__, listed_g
     ):
         raise InvariantError("pairing does not match every listed member exactly once")
@@ -269,7 +275,7 @@ def _pairing(star: StarGraph, pair_left: dict, stats: dict | None) -> list[tuple
             parts += x == g and girl_of[boy_of[g]] != g
         stats["initial_mismatches"] = len(_mismatched_edges(star, pair_left))
         stats["iterations"] = parts
-    return pairs
+    return pairing
 
 
 def repair_mismatches(
@@ -294,7 +300,7 @@ def repair_mismatches(
         if v not in adj[u]:
             raise ValueError(f"({u}, {v}) is not an edge of the star graph")
     pair_left = {}
-    for g, b in _pairing(star, dict(matching.pairs), stats):
+    for g, b in _pairing(star, matching.pairs, stats):
         if g in star.lg_node and b in star.lb_node:
             pair_left[star.lg_node[g]] = b
             b = star.lb_node[b]
@@ -308,7 +314,7 @@ def extract_assignment(star: StarGraph, matching: Matching) -> Assignment:
         raise ValueError(f"matching has size {len(matching.pairs)}, expected {star.target_size}")
     if _mismatched_edges(star, matching.left_map):
         raise ValueError("matching still has mismatched edges")
-    return _repaired((star, matching.left_map))
+    return _repaired((star, matching.pairs))
 
 
 def _match_listed(
@@ -326,7 +332,7 @@ def _match_listed(
 
 def _components(
     instance: IndexRows, boys_left: bool
-) -> HallViolator | tuple[StarGraph, dict[int, int]]:
+) -> HallViolator | tuple[StarGraph, Iterator[tuple[int, int]]]:
     """The decision core: match the star graph's two components apart.
 
     Component A (listed girls' cores against wildcard boys and boys' list
@@ -336,8 +342,9 @@ def _components(
     as transpose, as Hopcroft-Karp on the whole star would, or with
     ``boys_left`` as the boys' pared one-sided graph.  A deficient B is
     matched boys-left for the boys' violator.  Otherwise returns the star
-    and the union of both matchings over its vertices, of full size, as a
-    map from left to right vertex.
+    and the union of both matchings over its vertices, of full size, as
+    (left, right) vertex pairs to be read once; each matching's pairs are
+    freed as soon as they have been read.
     """
     star, boys_rows, wild = _build_star(instance)
     adj = star.graph.adjacency
@@ -361,6 +368,7 @@ def _components(
             raise InvariantError("star matching exceeds the listed-member bound")
         if len(b_matching) == len(listed_b):
             b_pairs = ((b_vertex[u], v) for u, v in b_matching.pairs)
+        del b_matching  # read: a deficient one is matched again boys-left
     if b_pairs is None:
         boys_graph = BipartiteGraph._from_checked_rows(
             len(listed_b), len(b_vertex), tuple(map(boys_rows.__getitem__, listed_b))
@@ -371,9 +379,8 @@ def _components(
         if not boys_left:
             raise InvariantError("deficient star matching but both subproblems matchable")
         b_pairs = ((b_vertex[u], listed_b[k]) for k, u in b_matching.pairs)
-    pair_left = {listed_g[u]: v for u, v in a_matching.pairs}
-    pair_left.update(b_pairs)
-    return star, pair_left
+    a_pairs = ((listed_g[u], v) for u, v in a_matching.pairs)
+    return star, chain(a_pairs, b_pairs)
 
 
 def unsolvable_violator(instance: IndexRows) -> HallViolator | None:
@@ -387,9 +394,9 @@ def _repaired(outcome, stats: dict | None = None) -> Assignment | Unsolvable:
     """The pairing read off a core outcome, or its violator."""
     if isinstance(outcome, HallViolator):
         return Unsolvable(outcome)
-    star, pair_left = outcome
+    star, pairs = outcome
     girls, boys = star.instance.girls, star.instance.boys
-    return Assignment(tuple((girls[g], boys[b]) for g, b in _pairing(star, pair_left, stats)))
+    return Assignment(tuple((girls[g], boys[b]) for g, b in _pairing(star, pairs, stats)))
 
 
 def solve(instance: IndexRows, repair_stats: dict | None = None) -> Assignment | Unsolvable:

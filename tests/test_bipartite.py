@@ -256,6 +256,24 @@ class TestCheckedRowsConstructor:
             BipartiteGraph._from_checked_rows(2, 1, ((0,),))
 
 
+class TestCheckedPairsConstructor:
+    @given(bipartite_adjacencies())
+    @settings(deadline=None)
+    def test_matcher_result_equals_public_constructor(self, data):
+        # The matcher's own result skips the re-check, and is the matching
+        # the public constructor accepts.
+        matching = max_matching(graph(*data))
+        assert matching == Matching(matching.pairs)
+        assert hash(matching) == hash(Matching(matching.pairs))
+        assert matching.left_map == dict(matching.pairs)
+
+    def test_matcher_runs_no_check(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(Matching, "__post_init__", lambda self: checked.append(self.pairs))
+        assert len(max_matching(SHARED_NEIGHBOR)) == 1
+        assert checked == []
+
+
 class TestDeficiencyCertificate:
     def test_shared_neighbor_certificate(self):
         m = max_matching(SHARED_NEIGHBOR)

@@ -3,6 +3,7 @@
 import errno
 import gc
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -972,10 +973,10 @@ def one_pass_load(text):
 def whole_document_pass(doc):
     """The checked pass of ``prepare_document`` over a parsed document, as
     the whole-document path runs it, as an index view."""
-    checked = fileio._checked_tables(doc.items(), doc.get("refusers", []), fileio._translated)
+    checked = fileio._checked_tables(doc.items(), doc.get("refusers", []), fileio._translated, fileio._index_rows)
     if type(checked) is not list:
         return checked
-    return IndexView(tuple(checked[0]), tuple(checked[2]), *fileio._sides(checked))
+    return IndexView(tuple(checked[0]), tuple(checked[2]), checked[1], checked[3])
 
 
 def load_outcome(load, text):
@@ -1037,7 +1038,7 @@ def assert_loads_alike(text, check_walk=True):
         )
         assert whole_document_pass(doc) is not None
         if walked:
-            assert fileio._walked_text([text], fileio._translated) is not None
+            assert fileio._walked_text(text, fileio._translated, fileio._index_rows) is not None
     if isinstance(want, SmpInstance):
         # The reference load is fresh: its rows are built from its names.
         assert cache_values(got) == cache_values(want)
@@ -1453,21 +1454,22 @@ def traced_peak(call):
 
 
 class TestLoadMemory:
-    """The indexed load keeps one list table's names alive at a time,
-    frees the text before it translates the last table, and checks and
-    translates each table through one name -> place map per roster, not
-    through roster sets and index dicts of its own.  Deterministic
-    tracemalloc readings on a document built here; the text is decoded
-    while tracing, as a command reads its file."""
+    """The indexed load reads each list table a chunk of rows at a time, so
+    no whole table of names is ever alive, and checks and translates each
+    chunk through one name -> place map per roster, not through roster
+    sets and index dicts of its own.  Deterministic tracemalloc readings on
+    a document built here; the text is decoded while tracing, as a command
+    reads its file."""
 
     def test_peak_well_below_a_whole_parse(self):
         data = memory_document()
         view, indexed = traced_peak(lambda: fileio.prepare_document(data.decode))
         assert type(view) is IndexView and len(view.girls) == 1980
         _, whole = traced_peak(lambda: fileio._load_object(data.decode()))
-        # About 0.70 on CPython 3.10 and 3.11; parsing the whole document
-        # first reads about 1.1.
-        assert indexed < 0.85 * whole
+        # About 0.43 on CPython 3.11; parsing each table whole, with the
+        # text alive, read about 0.70, and the whole document first about
+        # 1.1.
+        assert indexed < 0.55 * whole
 
     @pytest.mark.parametrize(
         "boy_step, code, forge",
@@ -1517,23 +1519,22 @@ class TestLoadMemory:
         assert girls == tuple(girl_lists) and boys == tuple(boy_lists)
         assert {len(row) for row in chain(girl_lists.values(), boy_lists.values())} == {1}
 
-    def test_text_freed_before_the_last_table_is_translated(self, monkeypatch):
-        data = memory_document()
-        traced = []
-        translate = fileio._index_rows
+    def test_no_whole_table_of_names_is_alive(self):
+        # The text is made before tracing starts, so what the load holds
+        # at its peak beyond the view it returns is what it needed on the
+        # way: the place maps and a chunk of names, not a table of them.
+        text = memory_document().decode()
+        (view, held), peak = traced_peak(
+            lambda: (fileio.prepare_document(lambda: text), tracemalloc.get_traced_memory()[0])
+        )
+        assert type(view) is IndexView
+        table = json.dumps(json.loads(text)["girl_lists"])
+        _, names = traced_peak(lambda: json.loads(table))
+        # About 0.28 of one table's names on CPython 3.11; parsing each
+        # table whole read about 0.98.
+        assert peak - held < 0.4 * names
 
-        def recording(rows, other):
-            traced.append(tracemalloc.get_traced_memory()[0])
-            return translate(rows, other)
-
-        monkeypatch.setattr(fileio, "_index_rows", recording)
-        traced_peak(lambda: fileio.prepare_document(data.decode))
-        first, last = traced
-        # Between the two translations one table's names gave way to the
-        # other's, and the text went: about 0.9 MB less is held.
-        assert last < first - len(data) // 2
-
-    @pytest.mark.parametrize("path", ["walk", "whole document"])
+    @pytest.mark.parametrize("path", ["whole document"])
     def test_each_table_is_translated_through_the_map_it_was_checked_by(self, path, monkeypatch):
         text = memory_document().decode()
         others = {"_names_table_ok": [], "_index_rows": []}
@@ -1543,14 +1544,34 @@ class TestLoadMemory:
                 return _original(*args)
 
             monkeypatch.setattr(fileio, name, recording)
-        if path == "walk":
-            view = fileio.prepare_document(lambda: text)
-        else:
-            view = whole_document_pass(json.loads(text))
+        view = whole_document_pass(json.loads(text))
         assert type(view) is IndexView
         (boy_map, girl_map), translated = others.values()
         assert len(translated) == 2
         assert translated[0] is boy_map and translated[1] is girl_map
+        assert boy_map.keys() == {f"b{i}" for i in range(2000)} and girl_map.keys() == {f"g{i}" for i in range(2000)}
+
+    def test_each_chunk_is_translated_through_the_map_it_was_checked_by(self, monkeypatch):
+        text = memory_document().decode()
+        others = {"_names_table_ok": [], "_index_rows": []}
+        for name, seen in others.items():
+            def recording(*args, _seen=seen, _original=getattr(fileio, name)):
+                _seen.append(args[-1])  # ``other``, the last argument of both
+                return _original(*args)
+
+            monkeypatch.setattr(fileio, name, recording)
+        view = fileio.prepare_document(lambda: text)
+        assert type(view) is IndexView
+        checked, translated = others.values()
+        # Each chunk is checked, then translated, before the next is parsed:
+        # the girls' chunks through the boys' map, then the boys' chunks.
+        assert len(checked) == len(translated) > 4
+        assert all(map(operator.is_, checked, translated))
+        boy_map, girl_map = checked[0], checked[-1]
+        switch = checked.index(girl_map)
+        assert all(other is boy_map for other in checked[:switch])
+        assert all(other is girl_map for other in checked[switch:])
+        assert switch > 2 and len(checked) - switch > 2
         assert boy_map.keys() == {f"b{i}" for i in range(2000)} and girl_map.keys() == {f"g{i}" for i in range(2000)}
 
     def test_place_maps_hold_less_than_roster_sets(self):
@@ -1653,6 +1674,23 @@ class TestLoadPaths:
         # indexed or named, and the name-level path never runs.
         assert built == []
         assert calls == {}
+
+    def test_unreadable_result_translates_no_row(self, tmp_path, monkeypatch, capsys):
+        path = write_doc(tmp_path, "i.json", LOAD_BASE)
+        bad = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, refusers=["zz"]))
+        result = tmp_path / "r.json"
+        result.write_text("{")
+        translated = []
+        monkeypatch.setattr(fileio, "_index_rows", lambda rows, other: translated.append(rows))
+        for argv in (["verify", path, str(result)], ["verify", path, str(tmp_path / "missing.json")]):
+            assert main(argv) == 65
+            assert capsys.readouterr().err.startswith("error: ")
+        # The instance's own errors still come first.
+        assert main(["verify", bad, str(result)]) == 65
+        assert capsys.readouterr().err == "error: unknown refuser 'zz'\n"
+        # Only the instance's errors matter: each table is dropped as the
+        # pass hands it over.
+        assert translated == []
 
     def test_infeasible_claim_translates_no_row(self, tmp_path, monkeypatch, capsys):
         path = write_doc(tmp_path, "i.json", LOAD_BASE)

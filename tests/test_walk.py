@@ -1,18 +1,23 @@
 """The member walk against ``json``: a differential fuzz over edited texts,
 and the pieces of ``json.decoder`` the walk is built from.
 
-The walk (``fileio._walked_text`` and ``fileio._text_members``) parses an
-instance document's top-level members with json's own scanner, and every
-command loads through it.  Wherever it reads a text, it must read it as
-``json.loads`` does; wherever it hands a text back, the whole-document
+The walk (``fileio._walked_text``, ``fileio._text_members`` and
+``fileio._table_chunks``) parses an instance document's top-level members
+with json's own scanner, each list table a chunk of rows at a time, and
+every command loads through it.  Wherever it reads a text, it must read it
+as ``json.loads`` does; wherever it hands a text back, the whole-document
 path must give the same outcome.  The fuzz draws valid and faulty
 documents, lays them out, and edits the text: the refusers moved, one
 member renamed everywhere or one top-level member written twice, then
 characters deleted, inserted, appended, replaced, duplicated or cut off.
+It runs at the walk's own chunk size and at size 1, where every row
+boundary is a chunk boundary.
 """
 
 import json
 import json.decoder
+from contextlib import contextmanager
+from types import GeneratorType
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,17 @@ from hypothesis import strategies as st
 
 from symmarriage import fileio
 
-from .test_cli import FRAME_TEXT, assert_loads_alike, instance_objects
+from .conftest import bench_document
+from .test_cli import (
+    FRAME_CASES,
+    FRAME_TEXT,
+    LOAD_BASE,
+    LOAD_CASES,
+    assert_loads_alike,
+    instance_documents,
+    instance_objects,
+    reordered,
+)
 
 # What a character edit may insert: JSON syntax, escapes the walk pre-checks,
 # literals json.loads rejects or limits, and members the walk reads ahead.
@@ -118,13 +133,22 @@ def edited_documents(draw):
 
 
 def walked_members(text):
-    """The members ``_text_members`` yields, or None where it hands the
-    text back."""
+    """The members ``_text_members`` yields, a list table's chunks merged
+    into one object in their order, or None where it hands the text back
+    or a key repeats across chunks."""
     scan_once = json.JSONDecoder(object_pairs_hook=fileio._reject_duplicate_keys).scan_once
+    members = []
     try:
-        return list(fileio._text_members(text, scan_once))
+        for key, value in fileio._text_members(text, scan_once):
+            if type(value) is GeneratorType:
+                chunks = list(value)
+                value = {key: row for chunk in chunks for key, row in chunk.items()}
+                if len(value) != sum(map(len, chunks)):
+                    return None
+            members.append((key, value))
     except fileio._Unwalkable:
         return None
+    return members
 
 
 def json_members(text):
@@ -137,6 +161,24 @@ def json_members(text):
     return list(doc.items()) if type(doc) is dict else None
 
 
+def assert_walk_reads_as_json(text):
+    # The loaded view against the name-level path.
+    assert_loads_alike(text, check_walk=False)
+    # Where the walk reads the text, it reads json's members; repr tells
+    # NaN values apart.
+    walked = walked_members(text)
+    if walked is not None:
+        assert repr(walked) == repr(json_members(text))
+
+
+@contextmanager
+def chunk_size(size):
+    """The walk cuts its list tables after about ``size`` characters."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_CHUNK", size)
+        yield
+
+
 class TestWalkDifferential:
     @given(edited_documents())
     @example(FRAME_TEXT + "x")
@@ -144,13 +186,107 @@ class TestWalkDifferential:
     @example(FRAME_TEXT.replace("{\n", '{\n  "version": 1,\n', 1))
     @settings(deadline=None, max_examples=300)
     def test_walk_reads_as_json_and_loads_as_the_name_level_path(self, text):
-        # The loaded view against the name-level path.
-        assert_loads_alike(text, check_walk=False)
-        # Where the walk reads the text, it reads json's members; repr tells
-        # NaN values apart.
-        walked = walked_members(text)
-        if walked is not None:
-            assert repr(walked) == repr(json_members(text))
+        assert_walk_reads_as_json(text)
+
+
+COMPACT = json.dumps(LOAD_BASE)
+# Texts where a list table's chunks could be misread: each with whether the
+# walk must read it to an outcome (a valid document it hands back would
+# still load alike, on the whole-document path; a faulty one it always
+# hands back, for that path's message).
+CHUNK_TRAPS = {
+    "comma before a table's close": (COMPACT.replace('"x": ["b1"]}', '"x": ["b1"],}'), False),
+    "comma and space before the last table's close": (
+        COMPACT.replace('"b1": ["x", "g1"]}', '"b1": ["x", "g1"], }'),
+        False,
+    ),
+    "comma after a table's opening": (COMPACT.replace('"girl_lists": {', '"girl_lists": {,'), False),
+    "key repeated in a later chunk": (COMPACT.replace('"x": ["b1"]}', '"x": ["b1"], "g1": ["b1"]}'), False),
+    "refused member's key repeated in a later chunk": (
+        json.dumps(dict(LOAD_BASE, refusers=["g1"])).replace('"x": ["b1"]}', '"x": ["b1"], "g1": ["b2"]}'),
+        False,
+    ),
+    "key repeated in a table met before the rosters": (
+        reordered(LOAD_BASE, "girl_lists", "boy_lists", "version", "girls", "boys").replace(
+            '"x": [\n      "b1"\n    ]\n', '"x": [\n      "b1"\n    ],\n    "g1": ["b1"]\n'
+        ),
+        False,
+    ),
+    "], inside a name": (COMPACT.replace('"b1"', '"b],1"'), False),
+    "], inside a table key": (COMPACT.replace('"g1"', '"g],1"'), False),
+    "whitespace between ] and ,": (COMPACT.replace('"b3"], "x"', '"b3"] , "x"'), True),
+    "newline between ] and , everywhere": (json.dumps(LOAD_BASE, indent=2).replace("],", "]\n,"), True),
+    "empty table": (json.dumps(dict(LOAD_BASE, girl_lists={})), True),
+    "empty last table, spaced": (json.dumps(dict(LOAD_BASE, boy_lists={})).replace("{}", "{ }"), True),
+    "tables before the rosters": (reordered(LOAD_BASE, "girl_lists", "boy_lists", "version", "girls", "boys"), True),
+    "emptied row, then a bad row in a later chunk": (
+        json.dumps(dict(LOAD_BASE, refusers=["b1"], girl_lists={"x": ["b1"], "g1": ["b2", "b2"]})),
+        False,
+    ),
+    "bad row, then an emptied row in a later chunk": (
+        json.dumps(dict(LOAD_BASE, refusers=["b1"], girl_lists={"g1": ["b2", "b2"], "x": ["b1"]})),
+        False,
+    ),
+    "emptied row, then a key repeated in a later chunk": (
+        json.dumps(dict(LOAD_BASE, refusers=["b1"])).replace('"x": ["b1"]}', '"x": ["b1"], "g1": ["b2"]}'),
+        False,
+    ),
+    "emptied row, then a bad boys' table": (
+        json.dumps(dict(LOAD_BASE, refusers=["b1"], boy_lists={"b2": ["g2"], "b3": ["g1", "g1"]})),
+        False,
+    ),
+}
+
+
+class TestChunkBoundaries:
+    """The walk reads a list table a chunk of whole rows at a time; at
+    chunk size 1 every row boundary is a chunk boundary, and the walk
+    still reads what json reads and loads what the name-level path loads."""
+
+    @given(edited_documents())
+    @example(FRAME_TEXT.replace("],", "],}", 1))
+    @settings(deadline=None, max_examples=300)
+    def test_walk_reads_as_json_at_every_row_boundary(self, text):
+        with chunk_size(1):
+            assert_walk_reads_as_json(text)
+
+    @given(instance_documents())
+    @settings(deadline=None, max_examples=600)
+    def test_loads_as_the_name_level_path_at_every_row_boundary(self, text):
+        with chunk_size(1):
+            assert_loads_alike(text)
+
+    @pytest.mark.parametrize("case", [*LOAD_CASES, *FRAME_CASES])
+    def test_explicit_case_at_every_row_boundary(self, case):
+        with chunk_size(1):
+            if case in LOAD_CASES:
+                assert_loads_alike(json.dumps(dict(LOAD_BASE, **LOAD_CASES[case][0])))
+            else:
+                assert_walk_reads_as_json(FRAME_CASES[case])
+
+    @pytest.mark.parametrize("workload", ["reciprocal-repair", "planted-unsolvable"])
+    @pytest.mark.parametrize("size", [1, 200])
+    def test_bench_families(self, workload, size):
+        with chunk_size(size):
+            assert_loads_alike(bench_document(workload, 1000))
+
+    @pytest.mark.parametrize("size", [1, 5, None])
+    @pytest.mark.parametrize("case", list(CHUNK_TRAPS))
+    def test_trap(self, case, size):
+        text, walked = CHUNK_TRAPS[case]
+        with chunk_size(size or fileio._CHUNK):
+            assert_walk_reads_as_json(text)
+            if walked:
+                assert fileio._walked_text(text, fileio._translated, fileio._index_rows) is not None
+
+    def test_every_row_is_a_chunk_at_size_one(self):
+        scan_once = json.JSONDecoder(object_pairs_hook=fileio._reject_duplicate_keys).scan_once
+        with chunk_size(1):
+            tables = {key: list(value) for key, value in fileio._text_members(FRAME_TEXT, scan_once) if key.endswith("_lists")}
+        assert tables == {
+            "girl_lists": [{"g1": ["b1", "b2", "b3"]}, {"x": ["b1"]}],
+            "boy_lists": [{"b2": ["g2", "g1"]}, {"b1": ["x", "g1"]}],
+        }
 
 
 class TestJsonDecoderContract:
