@@ -15,11 +15,10 @@ import re
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, repeat
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring
 from operator import contains, is_not, not_
-from types import GeneratorType
 
 from .hall import HallViolator
 from .instances import (
@@ -37,9 +36,7 @@ from .instances import (
 INSTANCE_VERSION = 1
 
 _INSTANCE_KEYS = ("version", "girls", "boys", "girl_lists", "boy_lists", "refusers")
-_KEYS = frozenset(_INSTANCE_KEYS)
 _TABLES = ("girl_lists", "boy_lists")
-_REQUIRED_KEYS = frozenset(_INSTANCE_KEYS[:-1])
 _STATUSES = ("solved", "unsolvable", "infeasible")
 _STR = {str}
 _LIST = {list}
@@ -52,10 +49,6 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _CLOSING = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*\Z")
 # About how many characters of a list table's text the walk parses at once.
 _CHUNK = 1 << 16
-# A list table's value in the checked pass when it comes in chunks: the walk's
-# generator, or its chunks held until both rosters are known (json.loads
-# yields no tuple, so no document's own value is taken for one).
-_CHUNKED = (GeneratorType, tuple)
 
 
 class ParseError(ValueError):
@@ -135,11 +128,7 @@ def _list_table(value, field: str, owner: str) -> dict[str, tuple[str, ...]]:
 
 def parse_instance(text: str) -> RawInstance:
     """Parse an instance document; raises ParseError on any schema violation."""
-    return _raw_instance(_load_object(text))
-
-
-def _raw_instance(doc: dict) -> RawInstance:
-    """The schema checks of :func:`parse_instance` on a parsed document."""
+    doc = _load_object(text)
     unknown = [k for k in doc if k not in _INSTANCE_KEYS]
     if unknown:
         raise ParseError(f"unknown keys: {unknown}")
@@ -163,11 +152,12 @@ def prepare_document(read: Callable[[], str]) -> IndexView | Infeasible:
 
     ``read()`` gives the text; the loader keeps the only reference to it,
     so it is freed once the load returns.  The walk (:func:`_walked_text`)
-    parses the top-level members one at a time and each list table a chunk
-    of rows at a time (:func:`_table_chunks`); each chunk is checked,
-    filtered and translated into its rows' roster slots before the next is
-    parsed, so no whole table of names is ever built.  Every error message
-    and every infeasible member is the name-level path's:
+    parses the top-level members one at a time, in the order the writers
+    lay them out, and each list table a chunk of rows at a time
+    (:func:`_table_chunks`); each chunk is checked, filtered and translated
+    into its rows' roster slots before the next is parsed, so no whole
+    table of names is ever built.  Every error message and every
+    infeasible member is the name-level path's:
     :func:`validate_raw` and :func:`preprocess_refusals` of
     :func:`parse_instance`'s instance (:func:`_checked_document`).
     """
@@ -207,22 +197,25 @@ def claim_problems(read: Callable[[], str], result: ResultDoc) -> list[str]:
 
 
 def _checked_document(read: Callable[[], str], consume, place) -> list | Infeasible:
-    """The checked pass over the document ``read()`` gives, each list table
-    placed by ``place`` and handed to ``consume``: on the walk, else on the
-    document parsed whole by :func:`_load_object`.  A document the pass
-    rejects raises the ParseError of the name-level checks, those of
-    :func:`parse_instance` and then :func:`validate_raw`, which name every
-    problem."""
+    """The checked pass over the document ``read()`` gives, on the walk,
+    each list table placed by ``place`` and handed to ``consume``.  A text
+    the walk gives up on takes the name-level checks, those of
+    :func:`parse_instance` and then :func:`validate_raw`, which raise the
+    ParseError naming every problem; a valid one is written again by
+    :func:`serialize_instance`, in the writers' layout, and that text is
+    walked."""
     text = read()
     checked = _walked_text(text, consume, place)
     if checked is None:
-        doc = _load_object(text)
+        raw = parse_instance(text)
         del text
-        checked = _checked_tables(doc.items(), doc.get("refusers", []), consume, place)
+        problems = validate_raw(raw)
+        if problems:
+            raise ParseError("; ".join(problems))
+        text = serialize_instance(raw)
+        del raw
+        checked = _walked_text(text, consume, place)
         if checked is None:
-            problems = validate_raw(_raw_instance(doc))
-            if problems:
-                raise ParseError("; ".join(problems))
             raise InvariantError("the checked pass rejected a document the name-level checks accept")
     return checked
 
@@ -252,66 +245,42 @@ def _checked_tables(members, refusers, consume, place) -> list | Infeasible | No
     boy_side]`` for the kept members, in roster order, or the first member
     (girls first) whose list the refusals empty; None for any anomaly.
 
-    ``members`` gives the document's top-level (key, value) pairs, in any
-    order, a list table's value as one object or as a generator of chunks
-    (:func:`_table_chunks`), and ``refusers`` the refusers to apply until
-    the document's own arrive; it returns None when these differ from
-    refusers it has already applied to a list table.  A list table is
-    checked and filtered chunk by chunk as soon as both rosters are known,
-    against each side's place map (:func:`_kept_rosters`); the chunks of
-    one that arrives before are held until then.  ``place(rows, other)``
-    gives what each kept row of a chunk leaves in its roster slot, the row
-    less its refused names, and a side is what ``consume(side, slots, own,
-    other)`` (side 0 the girls, then the two place maps) makes of its
-    slots, ``()`` for a wildcard, once its table is checked.  Both tables,
-    the refusers' own lists included, are checked before any refusal can
-    empty a row, so an emptied list never hides a bad table.
+    ``members`` gives the document's top-level (key, value) pairs in the
+    writers' order (:func:`_text_members`), a list table's value as the
+    generator of its chunks (:func:`_table_chunks`), and ``refusers`` the
+    refusers read ahead, which must be the document's own.  Each list
+    table is checked and filtered chunk by chunk against each side's place
+    map (:func:`_kept_rosters`).  ``place(rows, other)`` gives what each
+    kept row of a chunk leaves in its roster slot, the row less its refused
+    names, and a side is what ``consume(side, slots, own, other)`` (side 0
+    the girls, then the two place maps) makes of its slots, ``()`` for a
+    wildcard, once its table is checked.  Both tables, the refusers' own
+    lists included, are checked before any refusal can empty a row, so an
+    emptied list never hides a bad table.
     """
-    frame = {}  # each member met; a list table only until it is handled
-    rosters = None  # each side's kept roster and place map, once both pass
-    sides = {}  # side -> what consume made of its rows, or the first member they empty
-    for key, value in members:
-        if key not in _KEYS:
-            return None
-        if key == "refusers" and value != refusers:
-            if sides:
-                return None  # a list table was filtered by other refusers
-            refusers, rosters = value, None
-        frame[key] = value
-        del value
-        if rosters is None:
-            if "girls" not in frame or "boys" not in frame:
-                if type(frame[key]) is GeneratorType:
-                    frame[key] = (*frame[key],)  # its chunks, held until both rosters are known
-                continue
-            checked = _kept_rosters(frame["girls"], frame["boys"], refusers)
-            if checked is None:
-                return None
-            refuse, rosters = checked
-        for side, field in enumerate(("girl_lists", "boy_lists")):
-            if side in sides or field not in frame:
-                continue
-            (roster, own), (_, other) = rosters[side], rosters[1 - side]
-            chunks = frame[field]
-            frame[field] = None
-            if type(chunks) not in _CHUNKED:
-                chunks = (chunks,)  # parsed with the document
-            kept = _kept_rows(chunks, roster, own, other, refuse, place)
-            del chunks
-            if kept is None:
-                return None
-            sides[side] = consume(side, kept, own, other) if type(kept) is list else kept
-            del kept  # the slots, which consume may have reduced
-    if not _REQUIRED_KEYS <= frame.keys():
-        return None
-    version = frame["version"]
+    (_, version), (_, girls), (_, boys) = islice(members, 3)
     if type(version) is not int or version != INSTANCE_VERSION:
         return None
-    if frame.get("refusers", []) != refusers:
-        return None  # refusers read ahead that the walk never met
+    checked = _kept_rosters(girls, boys, refusers)
+    if checked is None:
+        return None
+    refuse, rosters = checked
+    sides = []  # what consume made of each side's slots, or the first member they empty
     for side in (0, 1):
-        if type(sides[side]) is Infeasible:
-            return sides[side]
+        (roster, own), (_, other) = rosters[side], rosters[1 - side]
+        _, chunks = next(members)
+        kept = _kept_rows(chunks, roster, own, other, refuse, place)
+        del chunks
+        if kept is None:
+            return None
+        sides.append(consume(side, kept, own, other) if type(kept) is list else kept)
+        del kept  # the slots, which consume may have reduced
+    # The rest of the walk: the document's refusers, if any, and its close.
+    if dict(members).get("refusers", []) != refusers:
+        return None
+    for side in sides:
+        if type(side) is Infeasible:
+            return side
     return [rosters[0][0], sides[0], rosters[1][0], sides[1]]
 
 
@@ -378,10 +347,9 @@ def _kept_rows(chunks, roster, own: dict, other: dict, refuse: set, place) -> li
 
 
 def _names_table_ok(table, own: dict, other: dict) -> bool:
-    """Whether a list table, or a chunk of one, is an object keyed by names
-    ``own`` maps whose rows are non-empty arrays of distinct names
-    ``other`` maps."""
-    if type(table) is not dict or not table.keys() <= own.keys():
+    """Whether a chunk of a list table is keyed by names ``own`` maps and
+    its rows are non-empty arrays of distinct names ``other`` maps."""
+    if not table.keys() <= own.keys():
         return False
     rows = table.values()
     if not set(map(type, rows)) <= _LIST or not all(rows):
@@ -398,11 +366,12 @@ def _walked_text(text: str, consume, place) -> list | Infeasible | None:
     """The walk of :func:`prepare_document` over ``text``: each member
     parsed by :func:`_text_members`, a list table chunk by chunk, goes into
     the checked pass as it arrives.  The refusers are read ahead from the
-    text's tail, where every writer puts them; the pass takes the
-    document's own when the walk meets them before any list table.  None
-    for any anomaly, refusers met between the list tables included."""
+    text's tail, where every writer puts them.  None for any anomaly, and
+    for any text not laid out in the writers' member order."""
     if _SURROGATE_ESCAPE.search(text):
-        return None  # _load_object tests the whole document for a lone surrogate
+        # The name-level path joins an escaped pair and rejects a lone
+        # surrogate; the writers escape neither.
+        return None
     # The C scanner json.loads(text, object_pairs_hook=...) parses with.
     scan_once = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
     members = _text_members(text, scan_once)
@@ -420,50 +389,53 @@ def _refusers_ahead(text: str, scan_once):
     """The value of a ``"refusers"`` member that closes the document, read
     from the text's tail; ``[]`` when the tail holds none.  A text whose
     last two non-space characters are ``}`` closes on an object value, so
-    it is not searched."""
+    it is not searched.  A ``"refusers"`` that no ``:`` follows is a
+    string, such as a refuser of that name, and the search goes on before
+    it."""
     if _CLOSING.match(text, text.rfind("}", 0, text.rfind("}")) + 1):
         return []
-    at = text.rfind('"refusers"')
-    if at >= 0:
+    at = len(text)
+    while (at := text.rfind('"refusers"', 0, at)) >= 0:
         idx = _skip_space(text, at + len('"refusers"'))
         if text.startswith(":", idx):
             try:
                 value, idx = scan_once(text, _skip_space(text, idx + 1))
             except (ValueError, RecursionError, StopIteration):
                 return []
-            if _CLOSING.match(text, idx):
-                return value
+            return value if _CLOSING.match(text, idx) else []
     return []
 
 
 class _Unwalkable(Exception):
-    """The text is no object document whose members the walk reads as
-    ``json.loads`` reads them."""
+    """The text is no instance document in the writers' member order whose
+    members the walk reads as ``json.loads`` reads them."""
 
 
 def _text_members(text: str, scan_once):
     """Yield the top-level members of an object document one (key, value)
     pair at a time, each value parsed by ``scan_once`` as ``json.loads``
-    parses it, except that a list table's object is yielded as the
+    parses it, except that a list table's value is yielded as the
     generator of its chunks (:func:`_table_chunks`), which must be run out
-    before the next member is asked for.  Raises :class:`_Unwalkable` where
-    ``json.loads`` would not give the same members: a syntax error,
-    trailing data, a repeated key, an integer past the int-string limit or
-    nesting too deep."""
-    keys = set()
+    before the next member is asked for.  The members must come in the
+    order the writers lay them out, :data:`_INSTANCE_KEYS` with or without
+    the refusers.  Raises :class:`_Unwalkable` on any other layout, and
+    where ``json.loads`` would not give the same members: a syntax error,
+    trailing data, an integer past the int-string limit or nesting too
+    deep."""
     try:
         idx = _skip_space(text, 0)
         if not text.startswith("{", idx):
             raise _Unwalkable
         idx = _skip_space(text, idx + 1)
-        while text.startswith('"', idx):
-            key, idx = scanstring(text, idx + 1, True)
+        for key in _INSTANCE_KEYS:
+            if not text.startswith('"', idx):
+                break
+            name, idx = scanstring(text, idx + 1, True)
             idx = _skip_space(text, idx)
-            if key in keys or not text.startswith(":", idx):
-                raise _Unwalkable
-            keys.add(key)
+            if name != key or not text.startswith(":", idx):
+                break
             idx = _skip_space(text, idx + 1)
-            if key in _TABLES and text.startswith("{", idx):
+            if key in _TABLES:
                 end = []
                 yield key, _table_chunks(text, idx, scan_once, end)
                 idx = end[0]
@@ -474,7 +446,7 @@ def _text_members(text: str, scan_once):
             idx = _skip_space(text, idx)
             if text.startswith(",", idx):
                 idx = _skip_space(text, idx + 1)
-            elif _CLOSING.match(text, idx):
+            elif key in ("boy_lists", "refusers") and _CLOSING.match(text, idx):
                 return
             else:
                 break
@@ -489,11 +461,14 @@ def _table_chunks(text: str, idx: int, scan_once, end: list):
     of the text cut after a ``]`` that a ``,`` follows, as ``"{" + piece +
     "}"``; then append the index past the object to ``end``.  A piece
     whose parse stops short of its end holds the object's close, and ends
-    it.  Raises :class:`_Unwalkable` where ``json.loads`` would not read
-    the same members: a parse error (a cut inside a string included, which
-    no parse gets past), an empty piece after a comma, or any error of
-    :func:`_text_members`; a key repeated across chunks is the checked
-    pass's to find."""
+    it.  A piece that does not parse may be cut inside a string (a name
+    holding ``],``), so the rest of the object is then parsed in one
+    piece.  Raises :class:`_Unwalkable` where ``json.loads`` would not read
+    the same members: no object at ``text[idx]``, a parse error, an empty
+    piece after a comma, or any error of :func:`_text_members`; a key
+    repeated across chunks is the checked pass's to find."""
+    if not text.startswith("{", idx):
+        raise _Unwalkable
     start = idx + 1
     try:
         while True:
@@ -505,7 +480,13 @@ def _table_chunks(text: str, idx: int, scan_once, end: list):
                 return
             # "{" stands in for the comma before a piece after the first.
             piece = "{" + text[start : cut + 1] + "}" if cut >= 0 else "{" + text[start:]
-            value, stop = scan_once(piece, 0)
+            try:
+                value, stop = scan_once(piece, 0)
+            except ValueError:
+                if cut < 0:
+                    raise
+                cut, piece = -1, "{" + text[start:]  # the rest of the object in one piece
+                value, stop = scan_once(piece, 0)
             del piece
             if not value and start > idx + 1:
                 raise _Unwalkable  # a comma before the object's close

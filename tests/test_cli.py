@@ -970,13 +970,17 @@ def one_pass_load(text):
     return fileio.prepare_document(lambda: text)
 
 
-def whole_document_pass(doc):
-    """The checked pass of ``prepare_document`` over a parsed document, as
-    the whole-document path runs it, as an index view."""
-    checked = fileio._checked_tables(doc.items(), doc.get("refusers", []), fileio._translated, fileio._index_rows)
-    if type(checked) is not list:
-        return checked
-    return IndexView(tuple(checked[0]), tuple(checked[2]), checked[1], checked[3])
+def walked(text):
+    """Whether the walk of ``prepare_document`` reads ``text`` to an
+    outcome rather than giving up on it."""
+    return fileio._walked_text(text, fileio._translated, fileio._index_rows) is not None
+
+
+def in_writers_order(doc):
+    """Whether a parsed document's top-level keys come in the order the
+    writers lay them out, the refusers last or left out."""
+    order = ["version", "girls", "boys", "girl_lists", "boy_lists", "refusers"]
+    return [*doc] in (order[:-1], order)
 
 
 def load_outcome(load, text):
@@ -1020,25 +1024,17 @@ def cache_values(instance):
 def assert_loads_alike(text, check_walk=True):
     """The one loader gives the name-level path's outcome, as an IndexView
     holding the rows a fresh name-level instance builds, and a valid
-    document takes each pass alone: the whole-document pass over the
-    parsed document and, unless ``check_walk`` is false, the walk over the
-    text when the refusers are empty, the last member or before both list
-    tables."""
+    document is walked: as the writers write it again and, unless
+    ``check_walk`` is false, as it is when its keys come in the writers'
+    order."""
     got = load_outcome(one_pass_load, text)
     want = load_outcome(reference_load, text)
     assert type(got) is (IndexView if isinstance(want, SmpInstance) else type(want))
     assert loaded_snapshot(got) == loaded_snapshot(want)
     if not isinstance(want, str):
-        doc = json.loads(text)
-        keys = [*doc]
-        walked = check_walk and (
-            not doc.get("refusers")
-            or keys[-1] == "refusers"
-            or keys.index("refusers") < min(keys.index("girl_lists"), keys.index("boy_lists"))
-        )
-        assert whole_document_pass(doc) is not None
-        if walked:
-            assert fileio._walked_text(text, fileio._translated, fileio._index_rows) is not None
+        assert walked(serialize_instance(parse_instance(text)))
+        if check_walk and in_writers_order(json.loads(text)):
+            assert walked(text)
     if isinstance(want, SmpInstance):
         # The reference load is fresh: its rows are built from its names.
         assert cache_values(got) == cache_values(want)
@@ -1058,13 +1054,14 @@ def instance_documents(draw):
     empty a list); valid ones with one fault put in, so each rule is met
     alone; and ones drawn from small name pools, which may break several
     rules at once, frame faults included.  Each is laid out with its
-    top-level keys in a drawn order and a drawn indentation, so the
-    refusers are not always last."""
+    top-level keys in the writers' order or a drawn one, and a drawn
+    indentation, so the refusers are not always last."""
     return laid_out(draw, draw(instance_objects()))
 
 
 def laid_out(draw, doc):
-    keys = draw(st.permutations(list(doc)))
+    # instance_objects gives its keys in the writers' order, bar a fault.
+    keys = list(doc) if draw(st.booleans()) else draw(st.permutations(list(doc)))
     indent = draw(st.sampled_from([2, None, 0, "\t"]))
     return json.dumps({key: doc[key] for key in keys}, indent=indent)
 
@@ -1287,6 +1284,12 @@ NAMED_REFUSERS = {
 }
 
 
+# The smallest text whose refusers' value holds the string "refusers".
+REFUSER_NAMED_REFUSERS = json.dumps(
+    {"version": 1, "girls": ["refusers"], "boys": ["b1"], "girl_lists": {}, "boy_lists": {}, "refusers": ["refusers"]}
+)
+
+
 def reordered(doc, *keys):
     return json.dumps({key: doc[key] for key in keys}, indent=2)
 
@@ -1302,6 +1305,8 @@ FRAME_CASES = {
     "trailing comma": FRAME_TEXT[: FRAME_TEXT.rindex("]") + 1] + ",\n}\n",
     "comma after the opening brace": "{," + FRAME_COMPACT[1:],
     "empty object": "{}",
+    "rosters only": reordered(LOAD_BASE, "version", "girls", "boys"),
+    "no boys' table": reordered(LOAD_BASE, "version", "girls", "boys", "girl_lists"),
     "array document": "[]",
     "compact": FRAME_COMPACT,
     "tab indent": json.dumps(FRAME_DOC, indent="\t"),
@@ -1322,6 +1327,7 @@ FRAME_CASES = {
         dict(NAMED_REFUSERS, refusers=["g1"]), "version", "girls", "boys", "girl_lists", "boy_lists", "refusers"
     ),
     "refuser named refusers": json.dumps(dict(NAMED_REFUSERS, refusers=["refusers"]), indent=2),
+    "refuser named refusers, no lists": REFUSER_NAMED_REFUSERS,
     "table key named refusers, table last": reordered(
         dict(NAMED_REFUSERS, refusers=["g1"]), "version", "girls", "boys", "refusers", "girl_lists", "boy_lists"
     ),
@@ -1385,9 +1391,9 @@ def reference_outcomes(text, tmp_path, capsys):
 
 class TestMemberWalk:
     """solve and check parse an instance one top-level member at a time,
-    with the refusers read ahead from the tail or taken when met before the
-    list tables; every layout, and any text json.loads would not read as
-    the same members, gives the name-level path's outcome and message."""
+    in the writers' order, with the refusers read ahead from the tail;
+    every layout, and any text json.loads would not read as the same
+    members, gives the name-level path's outcome and message."""
 
     @pytest.mark.parametrize("case", list(FRAME_CASES))
     def test_same_outcome_as_name_level_path(self, case, tmp_path, capsys):
@@ -1401,6 +1407,13 @@ class TestMemberWalk:
             text = FRAME_TEXT[:end]
             assert_loads_alike(text)
             assert command_outcomes(text, tmp_path, capsys) == reference_outcomes(text, tmp_path, capsys), end
+
+    @pytest.mark.parametrize("case", ["refuser named refusers", "refuser named refusers, no lists"])
+    def test_refuser_named_refusers_is_walked(self, case):
+        # The read-ahead passes over the refuser's name, which no ":"
+        # follows, to the member's key; the outcomes are checked with every
+        # other case's.
+        assert walked(FRAME_CASES[case])
 
     @pytest.mark.parametrize("case", ["emptied row before a bad boys' table", "emptied row after a bad boys' table"])
     def test_emptied_row_waits_for_the_boys_table(self, case, tmp_path, capsys):
@@ -1534,23 +1547,6 @@ class TestLoadMemory:
         # table whole read about 0.98.
         assert peak - held < 0.4 * names
 
-    @pytest.mark.parametrize("path", ["whole document"])
-    def test_each_table_is_translated_through_the_map_it_was_checked_by(self, path, monkeypatch):
-        text = memory_document().decode()
-        others = {"_names_table_ok": [], "_index_rows": []}
-        for name, seen in others.items():
-            def recording(*args, _seen=seen, _original=getattr(fileio, name)):
-                _seen.append(args[-1])  # ``other``, the last argument of both
-                return _original(*args)
-
-            monkeypatch.setattr(fileio, name, recording)
-        view = whole_document_pass(json.loads(text))
-        assert type(view) is IndexView
-        (boy_map, girl_map), translated = others.values()
-        assert len(translated) == 2
-        assert translated[0] is boy_map and translated[1] is girl_map
-        assert boy_map.keys() == {f"b{i}" for i in range(2000)} and girl_map.keys() == {f"g{i}" for i in range(2000)}
-
     def test_each_chunk_is_translated_through_the_map_it_was_checked_by(self, monkeypatch):
         text = memory_document().decode()
         others = {"_names_table_ok": [], "_index_rows": []}
@@ -1594,13 +1590,14 @@ class TestLoadPaths:
     each list table as it arrives while verify reduces it to what the
     result's claim needs.  A
     bad document takes the same steps on every command: the pass on the
-    walk, on the parsed document, then the name-level path."""
+    walk, then the name-level path; a valid one the walk gives up on is
+    then written again by the writers and walked."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
         for module, name in (
-            (fileio, "_raw_instance"),
+            (fileio, "parse_instance"),
             (fileio, "validate_raw"),
             (instances, "_index_rows"),
         ):
@@ -1658,7 +1655,7 @@ class TestLoadPaths:
         path = write_doc(tmp_path, "bad.json", dict(LOAD_BASE, refusers=["zz"]))
         assert main(["solve", path]) == 65
         assert capsys.readouterr().err == "error: unknown refuser 'zz'\n"
-        assert calls == {"_raw_instance": 1, "validate_raw": 1}
+        assert calls == {"parse_instance": 1, "validate_raw": 1}
 
     @pytest.mark.parametrize("girl_lists, code", [({"g1": ["b1"]}, 0), ({"g1": ["b1"], "g2": ["b1"]}, 1)])
     def test_verify_leaves_index_rows_unbuilt(self, girl_lists, code, tmp_path, calls, monkeypatch, capsys):
@@ -1731,13 +1728,13 @@ class TestLoadPaths:
         result = write_doc(tmp_path, "r.json", {"status": "infeasible", "infeasible_member": "x"})
         assert main(["verify", path, result]) == 65
         assert capsys.readouterr() == ("", "error: unknown refuser 'zz'\n")
-        assert calls == {"_raw_instance": 1, "validate_raw": 1}
+        assert calls == {"parse_instance": 1, "validate_raw": 1}
 
     @pytest.fixture
     def passes(self, monkeypatch):
         """The order in which the checked pass and the name-level path run."""
         order = []
-        for name in ("_checked_tables", "_raw_instance"):
+        for name in ("_checked_tables", "parse_instance"):
             def recording(*args, _name=name, _original=getattr(fileio, name)):
                 order.append(_name)
                 return _original(*args)
@@ -1791,9 +1788,30 @@ class TestLoadPaths:
         argv = {"solve": ["solve", path], "check": ["check", path], "verify": ["verify", path, result]}[command]
         assert main(argv) == 65
         assert capsys.readouterr() == ("", f"error: {message}\n")
-        # The pass runs on the walk over the text, then once more on the
-        # parsed document, as the whole-document path does.
-        assert passes == ["_checked_tables", "_checked_tables", "_raw_instance"]
+        # The pass runs on the walk over the text, then the name-level
+        # path names the problem; no pass runs on a parsed document.
+        assert passes == ["_checked_tables", "parse_instance"]
+
+    @pytest.mark.parametrize("command", ["solve", "check", "verify"])
+    @pytest.mark.parametrize(
+        "case", ["refusers between the tables", "tables before the rosters", "refusers first"]
+    )
+    def test_other_layout_is_written_again_and_walked(self, case, command, tmp_path, passes, capsys):
+        # A valid text the walk gives up on passes the name-level checks,
+        # and the text the writers write for it is walked: the outcome is
+        # that of the writers' own text.
+        path, canonical = tmp_path / "other.json", tmp_path / "canonical.json"
+        path.write_text(FRAME_CASES[case])
+        canonical.write_text(serialize_instance(parse_instance(FRAME_CASES[case])))
+        result = str(tmp_path / "r.json")
+        assert main(["solve", str(canonical), "--output", result]) == 0
+        outcomes, walked_again = [], ["_checked_tables", "parse_instance", "_checked_tables"]
+        for instance, steps in ((canonical, ["_checked_tables"]), (path, walked_again)):
+            passes.clear()
+            argv = [command, str(instance)] + ([result] if command == "verify" else [])
+            outcomes.append((main(argv), *capsys.readouterr()))
+            assert passes == steps
+        assert outcomes[0] == outcomes[1]
 
 
 class TestModuleEntry:

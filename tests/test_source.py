@@ -106,23 +106,42 @@ def test_no_attribute_hooks_or_hand_written_instance_state(path):
     assert by_hand == [], f"{path.name} touches an instance's __dict__ at lines {by_hand}"
 
 
+def _functions(tree):
+    """Every function the tree defines, at any depth."""
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def test_one_checked_pass_reads_the_list_tables():
-    # fileio names the list tables in two places only: the checked pass
-    # behind both one-pass loaders, and the name-level reference that
-    # writes every error message.  A loader that reads a table itself, by
-    # subscript, ``.get`` or a key it walks, has forked the checks.  Keys of
-    # a dict display write a document and do not count.
+    # fileio names the list tables in two places only: the walk that feeds
+    # the checked pass each member in the writers' order, and the
+    # name-level reference that writes every error message.  A loader that
+    # reads a table itself, by subscript, ``.get``, a key it walks or the
+    # key tuples, has forked the checks.  Keys of a dict display write a
+    # document and do not count.
     tree = _tree(Path(symmarriage.__file__).parent / "fileio.py")
     readers = set()
-    for function in ast.walk(tree):
-        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for function in _functions(tree):
         written = {id(key) for node in ast.walk(function) if isinstance(node, ast.Dict) for key in node.keys}
         for node in ast.walk(function):
             if (
                 isinstance(node, ast.Constant)
                 and node.value in ("girl_lists", "boy_lists")
                 and id(node) not in written
-            ):
+            ) or (isinstance(node, ast.Name) and node.id in ("_INSTANCE_KEYS", "_TABLES")):
                 readers.add(function.name)
-    assert readers == {"_raw_instance", "_checked_tables"}
+    assert readers == {"parse_instance", "_text_members"}
+
+
+def test_documents_are_parsed_whole_only_by_the_name_level_readers():
+    # Only parse_instance, the name-level reference, and parse_result,
+    # whose result documents are small, parse a document whole: no load of
+    # an instance runs a pass over a parsed document.
+    callers = set()
+    for path in MODULES:
+        for function in _functions(_tree(path)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    called = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                    if called == "_load_object":
+                        callers.add(f"{path.name}:{function.name}")
+    assert callers == {"fileio.py:parse_instance", "fileio.py:parse_result"}

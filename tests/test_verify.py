@@ -310,13 +310,17 @@ class TestPassGuard:
     is a fault of the program: one ``internal error`` line and exit 70,
     with or without asserts."""
 
-    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("command", ["solve", "check", "verify"])
     def test_pass_that_rejects_a_valid_document(self, command, tmp_path, monkeypatch, capsys):
         instance, result = tmp_path / "i.json", tmp_path / "r.json"
         instance.write_text(json.dumps(LOAD_BASE))
         assert main(["solve", str(instance), "--output", str(result)]) == 0
         monkeypatch.setattr(fileio, "_checked_tables", lambda *args: None)
-        argv = {"solve": ["solve", str(instance)], "verify": ["verify", str(instance), str(result)]}[command]
+        argv = {
+            "solve": ["solve", str(instance)],
+            "check": ["check", str(instance)],
+            "verify": ["verify", str(instance), str(result)],
+        }[command]
         assert main(argv) == 70
         out, err = capsys.readouterr()
         assert (out, err.count("\n"), err.startswith("internal error: ")) == ("", 1, True)

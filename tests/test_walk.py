@@ -4,9 +4,11 @@ and the pieces of ``json.decoder`` the walk is built from.
 The walk (``fileio._walked_text``, ``fileio._text_members`` and
 ``fileio._table_chunks``) parses an instance document's top-level members
 with json's own scanner, each list table a chunk of rows at a time, and
-every command loads through it.  Wherever it reads a text, it must read it
-as ``json.loads`` does; wherever it hands a text back, the whole-document
-path must give the same outcome.  The fuzz draws valid and faulty
+every command loads through it.  It reads only members in the order the
+writers lay them out.  Wherever it reads a text, it must read it as
+``json.loads`` does; wherever it hands a text back, the name-level path
+must give the same outcome, and a valid text, written again by the
+writers, must be walked.  The fuzz draws valid and faulty
 documents, lays them out, and edits the text: the refusers moved, one
 member renamed everywhere or one top-level member written twice, then
 characters deleted, inserted, appended, replaced, duplicated or cut off.
@@ -24,6 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symmarriage import fileio
+from symmarriage.fileio import serialize_instance
+from symmarriage.instances import RawInstance
 
 from .conftest import bench_document
 from .test_cli import (
@@ -35,6 +39,7 @@ from .test_cli import (
     instance_documents,
     instance_objects,
     reordered,
+    walked,
 )
 
 # What a character edit may insert: JSON syntax, escapes the walk pre-checks,
@@ -84,12 +89,13 @@ def members_of(doc):
 
 @st.composite
 def laid_out_documents(draw):
-    """An instance document from ``instance_objects``, laid out with a
-    drawn key order, indentation and escaping.  The refusers, when it has
-    some, may be moved to just after the first list table; then one member
-    may be renamed everywhere, or one top-level member written twice."""
+    """An instance document from ``instance_objects``, laid out with its
+    keys in the writers' order or a drawn one, and a drawn indentation and
+    escaping.  The refusers, when it has some, may be moved to just after
+    the first list table; then one member may be renamed everywhere, or
+    one top-level member written twice."""
     doc = draw(instance_objects())
-    keys = draw(st.permutations(list(doc)))
+    keys = list(doc) if draw(st.booleans()) else draw(st.permutations(list(doc)))
     if "refusers" in doc and draw(st.booleans()):
         keys.remove("refusers")
         tables = [i for i, key in enumerate(keys) if key in ("girl_lists", "boy_lists")]
@@ -191,9 +197,9 @@ class TestWalkDifferential:
 
 COMPACT = json.dumps(LOAD_BASE)
 # Texts where a list table's chunks could be misread: each with whether the
-# walk must read it to an outcome (a valid document it hands back would
-# still load alike, on the whole-document path; a faulty one it always
-# hands back, for that path's message).
+# walk must read it to an outcome (a valid document it hands back, laid out
+# in an order no writer writes, still loads alike once written again; a
+# faulty one it always hands back, for the name-level path's message).
 CHUNK_TRAPS = {
     "comma before a table's close": (COMPACT.replace('"x": ["b1"]}', '"x": ["b1"],}'), False),
     "comma and space before the last table's close": (
@@ -212,13 +218,14 @@ CHUNK_TRAPS = {
         ),
         False,
     ),
-    "], inside a name": (COMPACT.replace('"b1"', '"b],1"'), False),
-    "], inside a table key": (COMPACT.replace('"g1"', '"g],1"'), False),
+    "], inside a name": (COMPACT.replace('"b1"', '"b],1"'), True),
+    "], inside a table key": (COMPACT.replace('"g1"', '"g],1"'), True),
     "whitespace between ] and ,": (COMPACT.replace('"b3"], "x"', '"b3"] , "x"'), True),
     "newline between ] and , everywhere": (json.dumps(LOAD_BASE, indent=2).replace("],", "]\n,"), True),
+    "table that is an array": (json.dumps(dict(LOAD_BASE, girl_lists=[["b1"]])), False),
     "empty table": (json.dumps(dict(LOAD_BASE, girl_lists={})), True),
     "empty last table, spaced": (json.dumps(dict(LOAD_BASE, boy_lists={})).replace("{}", "{ }"), True),
-    "tables before the rosters": (reordered(LOAD_BASE, "girl_lists", "boy_lists", "version", "girls", "boys"), True),
+    "tables before the rosters": (reordered(LOAD_BASE, "girl_lists", "boy_lists", "version", "girls", "boys"), False),
     "emptied row, then a bad row in a later chunk": (
         json.dumps(dict(LOAD_BASE, refusers=["b1"], girl_lists={"x": ["b1"], "g1": ["b2", "b2"]})),
         False,
@@ -236,6 +243,29 @@ CHUNK_TRAPS = {
         False,
     ),
 }
+
+
+# Pieces of the names a written text may hold: a cut, the refusers' key, a
+# quote and a backslash the writers escape, and an astral character they
+# write as it is.
+NAME_PIECES = st.sampled_from(["],", '"refusers"', "refusers", '"', "\\", "\U0001f600", ":", " ", "g"])
+WRITTEN_NAMES = st.lists(NAME_PIECES, min_size=1, max_size=4).map("".join)
+
+
+@st.composite
+def written_instances(draw):
+    """A valid instance whose names are drawn from :data:`NAME_PIECES`,
+    with refusers that may empty a list."""
+    girls = draw(st.lists(WRITTEN_NAMES, unique=True, max_size=5))
+    boys = draw(st.lists(WRITTEN_NAMES, unique=True, max_size=5))
+
+    def table(own, other):
+        rows = st.lists(st.sampled_from(other or [""]), min_size=1, unique=True)
+        return {member: draw(rows) for member in own if other and draw(st.booleans())}
+
+    members = girls + boys
+    refusers = draw(st.lists(st.sampled_from(members), unique=True, max_size=3)) if members else []
+    return RawInstance.build(girls, boys, table(girls, boys), table(boys, girls), refusers)
 
 
 class TestChunkBoundaries:
@@ -273,11 +303,20 @@ class TestChunkBoundaries:
     @pytest.mark.parametrize("size", [1, 5, None])
     @pytest.mark.parametrize("case", list(CHUNK_TRAPS))
     def test_trap(self, case, size):
-        text, walked = CHUNK_TRAPS[case]
+        text, must_walk = CHUNK_TRAPS[case]
         with chunk_size(size or fileio._CHUNK):
             assert_walk_reads_as_json(text)
-            if walked:
-                assert fileio._walked_text(text, fileio._translated, fileio._index_rows) is not None
+            if must_walk:
+                assert walked(text)
+
+    @pytest.mark.parametrize("size", [1, None])
+    @given(written_instances())
+    @settings(deadline=None, max_examples=300)
+    def test_every_written_text_is_walked(self, size, raw):
+        text = serialize_instance(raw)
+        with chunk_size(size or fileio._CHUNK):
+            assert walked(text)
+            assert_loads_alike(text)
 
     def test_every_row_is_a_chunk_at_size_one(self):
         scan_once = json.JSONDecoder(object_pairs_hook=fileio._reject_duplicate_keys).scan_once
