@@ -43,8 +43,8 @@ _LIST = {list}
 _PAIR_LENGTH = {2}
 # One [girl, boy] pair of a solved document, as json.dumps(indent=2) lays it out.
 _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
-# A \uD800-\uDFFF escape in JSON text.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# An escape in JSON text; the group holds a \uD800-\uDFFF one.
+_ESCAPE = re.compile(r"\\(?:(u[dD][89a-fA-F])|.)", re.S)
 # The end of an object document after its last member's value.
 _CLOSING = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*\Z")
 # About how many characters of a list table's text the walk parses at once.
@@ -91,7 +91,7 @@ def _load_object(text: str) -> dict:
     # json.loads joins an escaped surrogate pair into one character but keeps
     # a lone surrogate, which no UTF-8 output can hold; only a document with
     # such an escape in its text is encoded once more to find one.
-    if _SURROGATE_ESCAPE.search(text):
+    if _surrogate_escaped(text):
         try:
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -99,6 +99,11 @@ def _load_object(text: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     return doc
+
+
+def _surrogate_escaped(text: str) -> bool:
+    # Escapes are read left to right, so an escaped backslash and "ud83d" is none.
+    return any(match[1] for match in _ESCAPE.finditer(text))
 
 
 def _is_string_array(value) -> bool:
@@ -201,8 +206,8 @@ def _checked_document(read: Callable[[], str], consume, place) -> list | Infeasi
     each list table placed by ``place`` and handed to ``consume``.  A text
     the walk gives up on takes the name-level checks, those of
     :func:`parse_instance` and then :func:`validate_raw`, which raise the
-    ParseError naming every problem; a valid one is written again by
-    :func:`serialize_instance`, in the writers' layout, and that text is
+    ParseError naming every problem; a valid one is written again in the
+    writers' member order (:func:`_compact_text`), and that text is
     walked."""
     text = read()
     checked = _walked_text(text, consume, place)
@@ -212,7 +217,7 @@ def _checked_document(read: Callable[[], str], consume, place) -> list | Infeasi
         problems = validate_raw(raw)
         if problems:
             raise ParseError("; ".join(problems))
-        text = serialize_instance(raw)
+        text = _compact_text(raw)
         del raw
         checked = _walked_text(text, consume, place)
         if checked is None:
@@ -368,7 +373,7 @@ def _walked_text(text: str, consume, place) -> list | Infeasible | None:
     the checked pass as it arrives.  The refusers are read ahead from the
     text's tail, where every writer puts them.  None for any anomaly, and
     for any text not laid out in the writers' member order."""
-    if _SURROGATE_ESCAPE.search(text):
+    if _surrogate_escaped(text):
         # The name-level path joins an escaped pair and rejects a lone
         # surrogate; the writers escape neither.
         return None
@@ -502,17 +507,28 @@ def _table_chunks(text: str, idx: int, scan_once, end: list):
 
 def serialize_instance(instance: SmpInstance | RawInstance) -> str:
     """Canonical instance document; wildcard members have no list entry."""
+    return json.dumps(_instance_members(instance), indent=2, ensure_ascii=False) + "\n"
+
+
+def _compact_text(instance: RawInstance) -> str:
+    """:func:`serialize_instance`'s members on one line, by json's C encoder
+    (an indent takes its pure-Python one)."""
+    return json.dumps(_instance_members(instance), ensure_ascii=False)
+
+
+def _instance_members(instance: SmpInstance | RawInstance) -> dict:
+    # The instance's own tuples, which both encoders write as arrays.
     doc: dict = {
         "version": INSTANCE_VERSION,
-        "girls": list(instance.girls),
-        "boys": list(instance.boys),
-        "girl_lists": {g: list(lst) for g, lst in instance.girl_lists.items() if lst},
-        "boy_lists": {b: list(lst) for b, lst in instance.boy_lists.items() if lst},
+        "girls": instance.girls,
+        "boys": instance.boys,
+        "girl_lists": {g: lst for g, lst in instance.girl_lists.items() if lst},
+        "boy_lists": {b: lst for b, lst in instance.boy_lists.items() if lst},
     }
     refusers = getattr(instance, "refusers", ())
     if refusers:
-        doc["refusers"] = list(refusers)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        doc["refusers"] = refusers
+    return doc
 
 
 def serialize_result(result: ResultDoc) -> str:

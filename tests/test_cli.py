@@ -1024,7 +1024,8 @@ def cache_values(instance):
 def assert_loads_alike(text, check_walk=True):
     """The one loader gives the name-level path's outcome, as an IndexView
     holding the rows a fresh name-level instance builds, and a valid
-    document is walked: as the writers write it again and, unless
+    document is walked: as the writers write it again, as a load writes
+    it again on one line and, unless
     ``check_walk`` is false, as it is when its keys come in the writers'
     order."""
     got = load_outcome(one_pass_load, text)
@@ -1032,7 +1033,9 @@ def assert_loads_alike(text, check_walk=True):
     assert type(got) is (IndexView if isinstance(want, SmpInstance) else type(want))
     assert loaded_snapshot(got) == loaded_snapshot(want)
     if not isinstance(want, str):
-        assert walked(serialize_instance(parse_instance(text)))
+        raw = parse_instance(text)
+        assert walked(serialize_instance(raw))
+        assert walked(fileio._compact_text(raw))
         if check_walk and in_writers_order(json.loads(text)):
             assert walked(text)
     if isinstance(want, SmpInstance):
@@ -1349,6 +1352,9 @@ FRAME_CASES = {
     ),
     "surrogate escape in a name": FRAME_TEXT.replace('"b2"', '"\\ud800"'),
     "surrogate pair in a name": FRAME_TEXT.replace('"b2"', '"\\ud83d\\ude00"'),
+    "escaped backslash before u in a name": FRAME_TEXT.replace('"b2"', '"C:\\\\udata"'),
+    "escaped backslash before ud83d in a name": FRAME_TEXT.replace('"b2"', '"\\\\ud83d"'),
+    "surrogate escape after an escaped backslash": FRAME_TEXT.replace('"b2"', '"\\\\\\ud800"'),
     "deep nesting in the refusers": FRAME_COMPACT[:-1] + "," + '"refusers":' + "[" * 100_000 + "]" * 100_000 + "}",
     "emptied row": json.dumps(dict(LOAD_BASE, refusers=["b1"]), indent=2),
     "emptied row, boys' table first": reordered(
@@ -1408,11 +1414,20 @@ class TestMemberWalk:
             assert_loads_alike(text)
             assert command_outcomes(text, tmp_path, capsys) == reference_outcomes(text, tmp_path, capsys), end
 
-    @pytest.mark.parametrize("case", ["refuser named refusers", "refuser named refusers, no lists"])
-    def test_refuser_named_refusers_is_walked(self, case):
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "refuser named refusers",
+            "refuser named refusers, no lists",
+            "escaped backslash before u in a name",
+            "escaped backslash before ud83d in a name",
+        ],
+    )
+    def test_written_name_is_walked(self, case):
         # The read-ahead passes over the refuser's name, which no ":"
-        # follows, to the member's key; the outcomes are checked with every
-        # other case's.
+        # follows, to the member's key; an escaped backslash and then "ud8"
+        # is no surrogate escape. The outcomes are checked with every other
+        # case's.
         assert walked(FRAME_CASES[case])
 
     @pytest.mark.parametrize("case", ["emptied row before a bad boys' table", "emptied row after a bad boys' table"])
@@ -1798,8 +1813,8 @@ class TestLoadPaths:
     )
     def test_other_layout_is_written_again_and_walked(self, case, command, tmp_path, passes, capsys):
         # A valid text the walk gives up on passes the name-level checks,
-        # and the text the writers write for it is walked: the outcome is
-        # that of the writers' own text.
+        # and its members, written again in the writers' order, are walked:
+        # the outcome is that of the writers' own text.
         path, canonical = tmp_path / "other.json", tmp_path / "canonical.json"
         path.write_text(FRAME_CASES[case])
         canonical.write_text(serialize_instance(parse_instance(FRAME_CASES[case])))

@@ -246,9 +246,10 @@ CHUNK_TRAPS = {
 
 
 # Pieces of the names a written text may hold: a cut, the refusers' key, a
-# quote and a backslash the writers escape, and an astral character they
-# write as it is.
-NAME_PIECES = st.sampled_from(["],", '"refusers"', "refusers", '"', "\\", "\U0001f600", ":", " ", "g"])
+# quote and a backslash the writers escape, letters that after an escaped
+# backslash read like a surrogate escape, and an astral character the
+# writers write as it is.
+NAME_PIECES = st.sampled_from(["],", '"refusers"', "refusers", '"', "\\", "ud83d", "\U0001f600", ":", " ", "g"])
 WRITTEN_NAMES = st.lists(NAME_PIECES, min_size=1, max_size=4).map("".join)
 
 
@@ -313,9 +314,12 @@ class TestChunkBoundaries:
     @given(written_instances())
     @settings(deadline=None, max_examples=300)
     def test_every_written_text_is_walked(self, size, raw):
+        # The writers' text, and the one-line text a load writes again for
+        # a layout the walk gives up on.
         text = serialize_instance(raw)
         with chunk_size(size or fileio._CHUNK):
             assert walked(text)
+            assert walked(fileio._compact_text(raw))
             assert_loads_alike(text)
 
     def test_every_row_is_a_chunk_at_size_one(self):
