@@ -102,10 +102,14 @@ class DeficiencyCertificate:
     neighborhood: tuple[int, ...]
 
 
-def max_matching(
-    graph: BipartiteGraph, transpose: Sequence[Sequence[int]] | None = None
-) -> Matching:
-    """Maximum-cardinality matching, canonical under the input order.
+def max_matching(graph: BipartiteGraph, transpose: Sequence[Sequence[int]] | None = None) -> Matching:
+    """Maximum-cardinality matching, canonical under the input order (:func:`_match_array`)."""
+    pairs = enumerate(_match_array(graph, transpose))
+    return Matching._from_checked_pairs(tuple(pair for pair in pairs if pair[1] != -1))
+
+
+def _match_array(graph: BipartiteGraph, transpose: Sequence[Sequence[int]] | None = None) -> list[int]:
+    """A maximum matching as its left match array: each left vertex's mate, or -1.
 
     A greedy seeding pass (ascending left index, first free neighbor) is
     followed by shortest-augmenting-path phases; both visit vertices in
@@ -159,8 +163,7 @@ def max_matching(
         if size == before:
             # Would repeat the same phase forever.
             raise InvariantError("a phase with an augmenting path augmented nothing")
-    pairs = tuple((u, match_l[u]) for u in range(n_left) if match_l[u] != -1)
-    return Matching._from_checked_pairs(pairs)
+    return match_l
 
 
 def _bfs_layers(adj, match_l, match_r, dist) -> int | None:
@@ -277,16 +280,25 @@ def deficiency_certificate(
     ``left`` (König) yields a left subset adjacent to strictly fewer right
     vertices; the matching must be maximum for that bound to hold.
     """
-    match_l = matching.left_map
+    match_l = [-1] * graph.left_count
+    for u, v in matching.pairs:
+        match_l[u] = v
     exposed = None
     for u in left:
         if not 0 <= u < graph.left_count:
             raise ValueError(f"left vertex {u} out of range")
-        if u not in match_l and (exposed is None or u < exposed):
+        if match_l[u] == -1 and (exposed is None or u < exposed):
             exposed = u
-    if exposed is None:
-        return None
-    match_r = matching.right_map
+    return None if exposed is None else _certificate(graph, match_l, exposed)
+
+
+def _certificate(graph: BipartiteGraph, match_l: list[int], exposed: int) -> DeficiencyCertificate:
+    """Alternating reachability from ``exposed``, free in the maximum matching
+    whose left match array is ``match_l``: the left vertices reached, and their neighbours."""
+    match_r = [-1] * graph.right_count
+    for u, v in enumerate(match_l):
+        if v != -1:
+            match_r[v] = u
     seen_left = {exposed}
     seen_right: set[int] = set()
     frontier = [exposed]
@@ -296,8 +308,8 @@ def deficiency_certificate(
             for v in graph.adjacency[u]:
                 if v not in seen_right:
                     seen_right.add(v)
-                    w = match_r.get(v)
-                    if w is not None and w not in seen_left:
+                    w = match_r[v]
+                    if w != -1 and w not in seen_left:
                         seen_left.add(w)
                         nxt.append(w)
         frontier = nxt

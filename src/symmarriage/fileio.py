@@ -47,8 +47,8 @@ _PAIR_ROW = "    [\n      %s,\n      %s\n    ]"
 _ESCAPE = re.compile(r"\\(?:(u[dD][89a-fA-F])|.)", re.S)
 # The end of an object document after its last member's value.
 _CLOSING = re.compile(r"[ \t\n\r]*\}[ \t\n\r]*\Z")
-# About how many characters of a list table's text the walk parses at once.
-_CHUNK = 1 << 16
+# About how many characters of a list table's text the walk parses, and holds, at once.
+_CHUNK = 1 << 14
 
 
 class ParseError(ValueError):
@@ -267,6 +267,7 @@ def _checked_tables(members, refusers, consume, place) -> list | Infeasible | No
     if type(version) is not int or version != INSTANCE_VERSION:
         return None
     checked = _kept_rosters(girls, boys, refusers)
+    del girls, boys  # parsed: a side keeps its kept roster
     if checked is None:
         return None
     refuse, rosters = checked

@@ -22,15 +22,17 @@ pairing of every listed member.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from operator import not_
 
 from .bipartite import (
     BipartiteGraph,
     Matching,
-    deficiency_certificate,
-    max_matching,
+    _certificate,
+    _match_array,
 )
 from .hall import HallViolator
 from .instances import Assignment, IndexRows, InvariantError
@@ -40,16 +42,24 @@ from .instances import Assignment, IndexRows, InvariantError
 class StarGraph:
     """The four-group graph for one instance.
 
-    Left vertices are the girls ``0..len(girls)-1`` followed by one list
-    node per listed girl; right vertices mirror this for the boys.
+    Left vertices are the girls ``0..len(girls)-1``, then the k-th listed
+    girl's list node at ``len(girls) + k``; right vertices mirror this for
+    the boys.  ``lg_node`` and ``lb_node``, built when read, map each
+    listed member to their list node.
     """
 
     instance: IndexRows
     graph: BipartiteGraph
     listed_girls: tuple[int, ...]
     listed_boys: tuple[int, ...]
-    lg_node: dict[int, int]
-    lb_node: dict[int, int]
+
+    @cached_property
+    def lg_node(self) -> dict[int, int]:
+        return {g: u for u, g in enumerate(self.listed_girls, len(self.instance.girls))}
+
+    @cached_property
+    def lb_node(self) -> dict[int, int]:
+        return {b: v for v, b in enumerate(self.listed_boys, len(self.instance.boys))}
 
     @property
     def target_size(self) -> int:
@@ -95,7 +105,7 @@ def build_star_graph(instance: IndexRows) -> StarGraph:
     return _build_star(instance)[0]
 
 
-# Keeps a boy's list entry whose B label (see _build_star) is set.
+# Keeps a set B label (see _build_star), or a matched vertex of a match array.
 _LABELLED = (-1).__ne__
 
 
@@ -116,62 +126,57 @@ def _build_star(
 
     List compatibility comes from one pass over the listed boys' rows,
     which finds, for each girl, the listed boys who list her, ascending;
-    no set of any whole list is kept.
+    no set of any whole list is kept, nor any map to the list nodes.
     """
-    n_g = len(instance.girls)
-    n_b = len(instance.boys)
+    n_g, n_b = len(instance.girls), len(instance.boys)
     girl_rows = instance.girl_lists_idx
     boy_rows = instance.boy_lists_idx
     listed_g = instance.listed_girl_idx
     listed_b = instance.listed_boy_idx
-    lg_node = {g: n_g + k for k, g in enumerate(listed_g)}
-    lb_node = {b: n_b + k for k, b in enumerate(listed_b)}
     wild = list(compress(range(n_g), map(not_, girl_rows)))
     # Rows 0..n_g-1 first hold the listed boys who list each girl; each is
     # then replaced in place by the girl's star row, as a tuple.
     adjacency: list = [[] for _ in range(n_g)]
-    for b in listed_b:
+    # A listed boy's slot holds his list node until his row replaces it.
+    boys_rows: list = [()] * n_b
+    for v, b in enumerate(listed_b, n_b):
+        boys_rows[b] = v
         for g in boy_rows[b]:
             adjacency[g].append(b)
     adjacency += [()] * len(listed_g)
     # A wildcard girl's star row is exactly the listed boys who list her.
     for g in wild:
         adjacency[g] = tuple(adjacency[g])
-    # The listed girls each boy is list compatible with, found by the girls
-    # loop, so that the boys loop needs no set of any girl's list.
-    compatible: list[list[int]] = [[] for _ in range(n_b)]
-    for g in listed_g:
+    # Each compatible boy's compatible listed girls, by rank, for the boys loop.
+    compatible: defaultdict[int, list[int]] = defaultdict(list)
+    for k, g in enumerate(listed_g):
         listing = set(adjacency[g])
-        row = []
-        list_row = []
+        row, list_row = [], []
         for b in girl_rows[g]:
             if not boy_rows[b]:
                 row.append(b)
             elif b in listing:
-                row.append(lb_node[b])
+                row.append(boys_rows[b])
                 list_row.append(b)
-                compatible[b].append(g)
+                compatible[b].append(k)
         adjacency[g] = tuple(row)
-        adjacency[lg_node[g]] = tuple(list_row)
+        adjacency[n_g + k] = tuple(list_row)
     # B's label of each girl: wildcards always, a listed girl only while a
     # boy she is compatible with is emitted; -1 drops the list entry.
     label = [-1] * n_g
     for r, g in enumerate(wild):
         label[g] = r
-    list_label = len(wild) - n_g
-    boys_rows: list[tuple[int, ...]] = [()] * n_b
     for b in listed_b:
-        mates = compatible[b]
-        for g in mates:
-            label[g] = lg_node[g] + list_label
+        mates = compatible.get(b, ())
+        for k in mates:
+            label[listed_g[k]] = len(wild) + k
         boys_rows[b] = tuple(filter(_LABELLED, map(label.__getitem__, boy_rows[b])))
-        for g in mates:
-            label[g] = -1
+        for k in mates:
+            label[listed_g[k]] = -1
     graph = BipartiteGraph._from_checked_rows(
         n_g + len(listed_g), n_b + len(listed_b), tuple(adjacency)
     )
-    star = StarGraph(instance, graph, listed_g, listed_b, lg_node, lb_node)
-    return star, tuple(boys_rows), wild
+    return StarGraph(instance, graph, listed_g, listed_b), tuple(boys_rows), wild
 
 
 def _mismatched_edges(star: StarGraph, pair_left: dict[int, int]) -> list[tuple[int, int]]:
@@ -319,15 +324,15 @@ def extract_assignment(star: StarGraph, matching: Matching) -> Assignment:
 
 def _match_listed(
     graph: BipartiteGraph, side: str, names: tuple[str, ...], listed: tuple[int, ...]
-) -> tuple[Matching, HallViolator | None]:
-    """Match a graph whose left vertex ``k`` is member ``listed[k]``, plus the
-    side's violator read off the matching when it leaves one exposed."""
-    matching = max_matching(graph)
-    if len(matching) == graph.left_count:
-        return matching, None
-    cert = deficiency_certificate(graph, matching, range(graph.left_count))
+) -> tuple[list[int], HallViolator | None]:
+    """The left match array of a graph whose left vertex ``k`` is member
+    ``listed[k]``, plus the side's violator when it leaves one exposed."""
+    match = _match_array(graph)
+    if -1 not in match:
+        return match, None
+    cert = _certificate(graph, match, match.index(-1))
     members = tuple(names[listed[u]] for u in cert.subset)
-    return matching, HallViolator(side, members, len(cert.neighborhood))
+    return match, HallViolator(side, members, len(cert.neighborhood))
 
 
 def _components(
@@ -341,46 +346,48 @@ def _components(
     against listed boys' cores) is matched girls-left with the boys' rows
     as transpose, as Hopcroft-Karp on the whole star would, or with
     ``boys_left`` as the boys' pared one-sided graph.  A deficient B is
-    matched boys-left for the boys' violator.  Otherwise returns the star
-    and the union of both matchings over its vertices, of full size, as
-    (left, right) vertex pairs to be read once; each matching's pairs are
-    freed as soon as they have been read.
+    matched boys-left for the boys' violator, A's matching freed first
+    when no pairing can follow.  Otherwise returns the star and the union
+    of both matchings (left match arrays, each freed once read), of full
+    size, as (left, right) star vertex pairs to be read once; B's label
+    ``u`` is ``wild[u]``, or the list node ``u + n_g - len(wild)``.
     """
     star, boys_rows, wild = _build_star(instance)
     adj = star.graph.adjacency
-    n_g = len(instance.girls)
+    n_g, n_w = len(instance.girls), len(wild)
     listed_g, listed_b = star.listed_girls, star.listed_boys
     a_graph = BipartiteGraph._from_checked_rows(
         len(listed_g), star.graph.right_count, tuple(map(adj.__getitem__, listed_g))
     )
-    a_matching, violator = _match_listed(a_graph, "girls", instance.girls, listed_g)
+    a_match, violator = _match_listed(a_graph, "girls", instance.girls, listed_g)
     if violator is not None:
         return violator
-    # B's left labels back to star vertices: wildcard girls, then list nodes.
-    b_vertex = wild + list(range(n_g, n_g + len(listed_g)))
+    b_left = n_w + len(listed_g)
     b_pairs = None
     if not boys_left:
         b_graph = BipartiteGraph._from_checked_rows(
-            len(b_vertex), len(instance.boys), tuple(map(adj.__getitem__, wild)) + adj[n_g:]
+            b_left, len(instance.boys), tuple(map(adj.__getitem__, wild)) + adj[n_g:]
         )
-        b_matching = max_matching(b_graph, boys_rows)
-        if len(a_matching) + len(b_matching) > star.target_size:
+        b_match = _match_array(b_graph, boys_rows)
+        if (matched := b_left - b_match.count(-1)) > len(listed_b):
             raise InvariantError("star matching exceeds the listed-member bound")
-        if len(b_matching) == len(listed_b):
-            b_pairs = ((b_vertex[u], v) for u, v in b_matching.pairs)
-        del b_matching  # read: a deficient one is matched again boys-left
+        if matched == len(listed_b):
+            b_pairs = compress(enumerate(b_match), map(_LABELLED, b_match))
+        else:
+            del a_match  # the outcome is now the boys' violator or an error
+        del b_match  # read: a deficient one is matched again boys-left
     if b_pairs is None:
         boys_graph = BipartiteGraph._from_checked_rows(
-            len(listed_b), len(b_vertex), tuple(map(boys_rows.__getitem__, listed_b))
+            len(listed_b), b_left, tuple(map(boys_rows.__getitem__, listed_b))
         )
-        b_matching, violator = _match_listed(boys_graph, "boys", instance.boys, listed_b)
+        b_match, violator = _match_listed(boys_graph, "boys", instance.boys, listed_b)
         if violator is not None:
             return violator
         if not boys_left:
             raise InvariantError("deficient star matching but both subproblems matchable")
-        b_pairs = ((b_vertex[u], listed_b[k]) for k, u in b_matching.pairs)
-    a_pairs = ((listed_g[u], v) for u, v in a_matching.pairs)
-    return star, chain(a_pairs, b_pairs)
+        b_pairs = zip(b_match, listed_b)
+    b_pairs = ((wild[u] if u < n_w else u + n_g - n_w, v) for u, v in b_pairs)
+    return star, chain(zip(listed_g, a_match), b_pairs)
 
 
 def unsolvable_violator(instance: IndexRows) -> HallViolator | None:

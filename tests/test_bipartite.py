@@ -13,6 +13,7 @@ from symmarriage import (
     max_matching,
 )
 from symmarriage import bipartite as bipartite_module
+from symmarriage.bipartite import _certificate, _match_array
 
 from .conftest import bipartite_adjacencies, brute_matching_size
 
@@ -181,6 +182,20 @@ def surplus_left_graph(rng, n_right):
     return graph(n_left, n_right + int(rng.integers(0, 3)), rows)
 
 
+def assert_arrays_agree(g):
+    """The left match array is ``max_matching``'s pairs, with and without the
+    transpose, and the certificate read off it is ``deficiency_certificate``'s,
+    over every left vertex and over the even ones."""
+    for transpose in (None, transpose_of(g)):
+        match = _match_array(g, transpose)
+        matching = max_matching(g, transpose)
+        assert tuple((u, v) for u, v in enumerate(match) if v != -1) == matching.pairs
+        for left in (range(g.left_count), range(0, g.left_count, 2)):
+            exposed = [u for u in left if match[u] == -1]
+            expected = deficiency_certificate(g, matching, left)
+            assert (_certificate(g, match, exposed[0]) if exposed else None) == expected
+
+
 @pytest.fixture
 def backward_phases(monkeypatch):
     """Counts the phases layered from the free right vertices."""
@@ -204,6 +219,11 @@ class TestLayeringOracle:
         assert max_matching(g) == expected
         assert max_matching(g, transpose_of(g)) == expected
 
+    @given(bipartite_adjacencies(max_left=9, max_right=9))
+    @settings(deadline=None, max_examples=300)
+    def test_match_array_and_certificate(self, data):
+        assert_arrays_agree(graph(*data))
+
     def test_surplus_free_left_vertices(self, backward_phases):
         rng = np.random.default_rng(11)
         for _ in range(400):
@@ -223,6 +243,11 @@ class TestLayeringOracle:
             assert len(expected) == n
             assert max_matching(g, transpose_of(g)) == expected
         assert len(backward_phases) == 3
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_ladder_match_array_and_certificate(self, n):
+        # The ladders of the test above.
+        assert_arrays_agree(graph(n + 2, n, [(k, k + 1) for k in range(n - 1)] + [(0,)] * 3))
 
     def test_transpose_row_count_checked(self):
         with pytest.raises(ValueError, match="one row per right vertex"):

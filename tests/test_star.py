@@ -1,11 +1,14 @@
 """Star graph construction, mismatch repair, and the solver itself."""
 
+import gc
 import hashlib
 import os
 import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
+import weakref
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -40,6 +43,8 @@ from symmarriage import (
     unsolvable_violator,
 )
 from symmarriage import star as star_module
+from symmarriage.bipartite import _match_array
+from symmarriage import cli
 from symmarriage.cli import main
 from symmarriage.fileio import parse_instance, serialize_instance
 from symmarriage.instances import (
@@ -240,9 +245,9 @@ class TestCertificate:
 
         def counting(graph, transpose=None):
             graphs.append(graph)
-            return max_matching(graph, transpose)
+            return _match_array(graph, transpose)
 
-        monkeypatch.setattr(star_module, "max_matching", counting)
+        monkeypatch.setattr(star_module, "_match_array", counting)
         outcome = solve(inst)
         assert isinstance(outcome, Unsolvable) and outcome.side == side
         assert len(graphs) == calls
@@ -270,15 +275,97 @@ class TestCertificate:
 
         def counting(graph, transpose=None):
             graphs.append(graph)
-            return max_matching(graph, transpose)
+            return _match_array(graph, transpose)
 
-        monkeypatch.setattr(star_module, "max_matching", counting)
+        monkeypatch.setattr(star_module, "_match_array", counting)
         outcome = solve_via_subproblems(inst)
         assert (outcome.side if isinstance(outcome, Unsolvable) else None) == side
         # The listed girls, then, unless they are deficient, the listed boys.
         expected = (len(inst.listed_girl_idx), len(inst.listed_boy_idx))
         calls = 1 if side == "girls" else 2
         assert tuple(g.left_count for g in graphs) == expected[:calls]
+
+    def test_deficient_star_frees_earlier_arrays(self, monkeypatch):
+        # Once B proves deficient, solve's outcome is the boys' violator, so
+        # neither A's match array nor B's is alive for the boys' run.
+        class Array(list):
+            pass
+
+        arrays, alive = [], []
+
+        def tracking(graph, transpose=None):
+            alive.append([ref() is not None for ref in arrays])
+            match = Array(_match_array(graph, transpose))
+            arrays.append(weakref.ref(match))
+            return match
+
+        monkeypatch.setattr(star_module, "_match_array", tracking)
+        inst = SmpInstance.build(["g1", "g2"], ["b1", "b2"], {"g1": ["b1"]}, {"b1": ["g1"], "b2": ["g1"]})
+        assert solve(inst).side == "boys"
+        assert alive == [[], [True], [False, False]]
+        # The subproblems route reads A's array after the boys' run.
+        arrays.clear()
+        alive.clear()
+        outcome = solve_via_subproblems(SmpInstance.build(["g1"], ["b1"], {"g1": ["b1"]}, {"b1": ["g1"]}))
+        assert isinstance(outcome, Assignment)
+        assert alive == [[], [True]]
+
+
+# A planted-unsolvable size at which the core's peak rose above the load's
+# before the core dropped its pair tuples and list-node maps.
+CORE_PEAK_SIZE = 10_000
+
+
+@pytest.fixture(scope="class")
+def planted_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("planted") / "instance.json"
+    path.write_text(bench_document("planted-unsolvable", CORE_PEAK_SIZE))
+    return str(path)
+
+
+class TestCorePeak:
+    def test_core_peaks_below_the_load(self, planted_path, monkeypatch):
+        # The CLI's solve: the load reads the text and frees it, then the
+        # core runs with the view alive.  The core's peak, the view
+        # included, stays below the load's, the text included.
+        stars = []
+        build_star = star_module._build_star
+
+        def recording(instance):
+            built = build_star(instance)
+            stars.append(built[0])
+            return built
+
+        monkeypatch.setattr(star_module, "_build_star", recording)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            view = cli._load_instance(planted_path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            outcome = solve(view)
+            core_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(outcome, Unsolvable) and outcome.side == "boys"
+        assert core_peak < load_peak, f"core {core_peak / 1e6:.3f} MB, load {load_peak / 1e6:.3f} MB"
+        # No list-node map is built on the way.
+        assert len(stars) == 1 and {"lg_node", "lb_node"}.isdisjoint(vars(stars[0]))
+
+    def test_star_build_scratch_is_small(self, planted_path):
+        # The build's scratch beyond the star it returns: per-girl labels
+        # and the compatible mates of the boys who have any, no per-boy list.
+        view = cli._load_instance(planted_path)
+        view.listed_girl_idx, view.listed_boy_idx
+        gc.collect()
+        tracemalloc.start()
+        try:
+            built = star_module._build_star(view)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built[0].target_size
+        assert peak - kept < kept / 5, f"scratch {(peak - kept) / 1e6:.3f} MB, star {kept / 1e6:.3f} MB"
 
 
 def whole_star_solve(inst, stats):

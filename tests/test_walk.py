@@ -16,8 +16,10 @@ It runs at the walk's own chunk size and at size 1, where every row
 boundary is a chunk boundary.
 """
 
+import gc
 import json
 import json.decoder
+from collections import deque
 from contextlib import contextmanager
 from types import GeneratorType
 
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from symmarriage import fileio
 from symmarriage.fileio import serialize_instance
-from symmarriage.instances import RawInstance
+from symmarriage.instances import IndexView, RawInstance
 
 from .conftest import bench_document
 from .test_cli import (
@@ -330,6 +332,54 @@ class TestChunkBoundaries:
             "girl_lists": [{"g1": ["b1", "b2", "b3"]}, {"x": ["b1"]}],
             "boy_lists": [{"b2": ["g2", "g1"]}, {"b1": ["x", "g1"]}],
         }
+
+
+class TestLoadMemory:
+    """What the load holds while it reads the list tables."""
+
+    def test_table_pieces_hold_about_16_kib(self):
+        # A piece is cut at the first row end past 16 KiB; this family's
+        # rows are far shorter than 1 KiB.
+        scan = json.JSONDecoder(object_pairs_hook=fileio._reject_duplicate_keys).scan_once
+        pieces = []
+
+        def recording(text, idx):
+            if idx == 0:
+                pieces.append(len(text))
+            return scan(text, idx)
+
+        text = bench_document("planted-unsolvable", 1000)
+        for _, value in fileio._text_members(text, recording):
+            if isinstance(value, GeneratorType):
+                deque(value, 0)
+        # The tables hold most of the text, so there is more than one piece
+        # per 32 KiB of it.
+        assert len(pieces) > len(text) // (1 << 15)
+        assert max(pieces) < (1 << 14) + (1 << 10)
+
+    def test_parsed_rosters_are_dropped(self, monkeypatch):
+        # With refusers, each side keeps a roster of its own, so the parsed
+        # rosters are garbage before the first list table is read.
+        parsed, alive = {}, []
+        kept_rosters, kept_rows = fileio._kept_rosters, fileio._kept_rows
+
+        def rosters(girls, boys, refusers):
+            parsed.update({id(girls): tuple(girls), id(boys): tuple(boys)})
+            return kept_rosters(girls, boys, refusers)
+
+        def rows(*args):
+            alive.extend(
+                len(obj) for obj in gc.get_objects()
+                if id(obj) in parsed and type(obj) is list and tuple(obj) == parsed[id(obj)]
+            )
+            return kept_rows(*args)
+
+        monkeypatch.setattr(fileio, "_kept_rosters", rosters)
+        monkeypatch.setattr(fileio, "_kept_rows", rows)
+        text = bench_document("planted-unsolvable", 1000)
+        assert json.loads(text)["refusers"]
+        assert isinstance(fileio.prepare_document(lambda: text), IndexView)
+        assert len(parsed) == 2 and alive == []
 
 
 class TestJsonDecoderContract:
