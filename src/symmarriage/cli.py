@@ -14,8 +14,9 @@ Exit codes are part of the contract so that shell harnesses stay portable:
 Exit codes 64 and above print one line to stderr and leave no --output file.
 
 Every command loads its instance in one checked pass
-(:func:`~symmarriage.fileio.prepare_document`); ``verify`` checks its
-claim inside that pass and prints one ``invalid: ...`` line per problem.
+(:func:`~symmarriage.fileio.prepare_document`); ``verify`` loads it the
+same way, checks its claim against the kept rosters' place maps and index
+rows that load returns and prints one ``invalid: ...`` line per problem.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import sys
 from .fileio import (
     ParseError,
     ResultDoc,
-    check_document,
     claim_problems,
     parse_result,
     prepare_document,
@@ -311,16 +311,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Check a result's claim against its instance inside the instance's
-    one checked pass, which writes every problem
-    (:func:`~symmarriage.fileio.claim_problems`).  The result is read
-    first; one that cannot be read or parsed is reported only after the
-    instance's own errors (:func:`~symmarriage.fileio.check_document`)."""
+    """Check a result's claim against its instance, loaded as ``solve``
+    loads it (:func:`~symmarriage.fileio.claim_problems`, which writes
+    every problem).  The result is read first; one that cannot be read or
+    parsed is reported only after the instance's own errors
+    (:func:`~symmarriage.fileio.prepare_document`)."""
     read = functools.partial(_input_text, args.instance)
     try:
         result = parse_result(_input_text(args.result))
     except ParseError:
-        check_document(read)
+        prepare_document(read)
         raise
     problems = claim_problems(read, result)
     for p in problems:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, islice, repeat
 from json.decoder import WHITESPACE, scanstring
 from json.encoder import encode_basestring
-from operator import contains, is_not, not_
+from operator import contains, is_not, itemgetter, not_
 
 from .hall import HallViolator
 from .instances import (
@@ -153,7 +153,7 @@ def parse_instance(text: str) -> RawInstance:
 
 def prepare_document(read: Callable[[], str]) -> IndexView | Infeasible:
     """An instance document's text, validated and its refusals applied, as
-    an :class:`IndexView` (solve, check).
+    an :class:`IndexView` (solve, check, and verify's error path).
 
     ``read()`` gives the text; the loader keeps the only reference to it,
     so it is freed once the load returns.  The walk (:func:`_walked_text`)
@@ -166,51 +166,44 @@ def prepare_document(read: Callable[[], str]) -> IndexView | Infeasible:
     :func:`validate_raw` and :func:`preprocess_refusals` of
     :func:`parse_instance`'s instance (:func:`_checked_document`).
     """
-    checked = _checked_document(read, _translated, _index_rows)
+    checked = _checked_document(read)
     if type(checked) is Infeasible:
         return checked
-    return IndexView(tuple(checked[0]), tuple(checked[2]), checked[1], checked[3])
-
-
-def check_document(read: Callable[[], str]) -> None:
-    """Raise the ParseError :func:`prepare_document` raises for the instance
-    document ``read()`` gives, if any, through the same checked pass, which
-    here keeps no row."""
-    _checked_document(read, _dropped, _marked)
+    ((girls, _), (boys, _)), (girl_rows, boy_rows) = checked
+    return IndexView(tuple(girls), tuple(boys), tuple(girl_rows), tuple(boy_rows))
 
 
 def claim_problems(read: Callable[[], str], result: ResultDoc) -> list[str]:
     """Every problem with ``result``'s claim about the instance document
     ``read()`` gives, as ``verify`` prints them; the empty list means the
-    claim is valid.  The document takes :func:`prepare_document`'s path and
-    raises its errors, but each list table is reduced to what a pairing or
-    violator needs (:class:`_Pairing`, :class:`_Violator`), or dropped for
-    an infeasible claim, so no instance-sized table is built.
+    claim is valid.  The document is loaded as :func:`prepare_document`
+    loads it, errors and all, and the claim is checked against the kept
+    rosters' place maps and index rows the load returns
+    (:func:`_pairing_problems`, :func:`_violator_problems`).
     """
+    checked = _checked_document(read)
     if result.status == "infeasible":
-        checked = _checked_document(read, _dropped, _marked)
         if type(checked) is not Infeasible:
             return ["instance survives refusal preprocessing"]
         if checked.member != result.infeasible_member:
             return [f"preprocessing empties the list of '{checked.member}', not '{result.infeasible_member}'"]
         return []
-    claim = _Pairing(result.assignment) if result.status == "solved" else _Violator(result.violator)
-    checked = _checked_document(read, claim, _named)
     if type(checked) is Infeasible:
         return [f"refusals empty the list of '{checked.member}'"]
-    return claim.problems(checked[1], checked[3])
+    if result.status == "solved":
+        return _pairing_problems(result.assignment, *checked)
+    return _violator_problems(result.violator, *checked)
 
 
-def _checked_document(read: Callable[[], str], consume, place) -> list | Infeasible:
-    """The checked pass over the document ``read()`` gives, on the walk,
-    each list table placed by ``place`` and handed to ``consume``.  A text
-    the walk gives up on takes the name-level checks, those of
+def _checked_document(read: Callable[[], str]) -> list | Infeasible:
+    """The checked pass over the document ``read()`` gives, on the walk.  A
+    text the walk gives up on takes the name-level checks, those of
     :func:`parse_instance` and then :func:`validate_raw`, which raise the
     ParseError naming every problem; a valid one is written again in the
     writers' member order (:func:`_compact_text`), and that text is
     walked."""
     text = read()
-    checked = _walked_text(text, consume, place)
+    checked = _walked_text(text)
     if checked is None:
         raw = parse_instance(text)
         del text
@@ -219,49 +212,27 @@ def _checked_document(read: Callable[[], str], consume, place) -> list | Infeasi
             raise ParseError("; ".join(problems))
         text = _compact_text(raw)
         del raw
-        checked = _walked_text(text, consume, place)
+        checked = _walked_text(text)
         if checked is None:
             raise InvariantError("the checked pass rejected a document the name-level checks accept")
     return checked
 
 
-def _translated(side: int, rows: list, own: dict, other: dict) -> tuple[tuple[int, ...], ...]:
-    """The per-table consumer of solve and check, whose rows were placed as
-    index rows (:func:`_index_rows`)."""
-    return tuple(rows)
-
-
-def _dropped(side: int, rows: list, own: dict, other: dict) -> None:
-    """The per-table consumer of a pass whose result reads no row."""
-
-
-def _named(rows, other: dict):
-    """The placement of a claim check: each row as its names."""
-    return rows
-
-
-def _marked(rows, other: dict):
-    """The placement of a pass that reads no row: a mark per row."""
-    return repeat(True)
-
-
-def _checked_tables(members, refusers, consume, place) -> list | Infeasible | None:
-    """The one checked pass behind every load: ``[girls, girl_side, boys,
-    boy_side]`` for the kept members, in roster order, or the first member
-    (girls first) whose list the refusals empty; None for any anomaly.
+def _checked_tables(members, refusers) -> list | Infeasible | None:
+    """The one checked pass behind every load: ``[rosters, sides]``, where
+    ``rosters`` holds each side's kept roster and place map, girls first
+    (:func:`_kept_rosters`), and ``sides`` each side's index rows in its
+    kept roster's order (:func:`_kept_rows`); or the first member (girls
+    first) whose list the refusals empty; None for any anomaly.
 
     ``members`` gives the document's top-level (key, value) pairs in the
     writers' order (:func:`_text_members`), a list table's value as the
     generator of its chunks (:func:`_table_chunks`), and ``refusers`` the
     refusers read ahead, which must be the document's own.  Each list
-    table is checked and filtered chunk by chunk against each side's place
-    map (:func:`_kept_rosters`).  ``place(rows, other)`` gives what each
-    kept row of a chunk leaves in its roster slot, the row less its refused
-    names, and a side is what ``consume(side, slots, own, other)`` (side 0
-    the girls, then the two place maps) makes of its slots, ``()`` for a
-    wildcard, once its table is checked.  Both tables, the refusers' own
-    lists included, are checked before any refusal can empty a row, so an
-    emptied list never hides a bad table.
+    table is checked, filtered and translated chunk by chunk against each
+    side's place map.  Both tables, the refusers' own lists included, are
+    checked before any refusal can empty a row, so an emptied list never
+    hides a bad table.
     """
     (_, version), (_, girls), (_, boys) = islice(members, 3)
     if type(version) is not int or version != INSTANCE_VERSION:
@@ -271,23 +242,22 @@ def _checked_tables(members, refusers, consume, place) -> list | Infeasible | No
     if checked is None:
         return None
     refuse, rosters = checked
-    sides = []  # what consume made of each side's slots, or the first member they empty
+    sides = []  # each side's index rows, or the first member they empty
     for side in (0, 1):
         (roster, own), (_, other) = rosters[side], rosters[1 - side]
         _, chunks = next(members)
-        kept = _kept_rows(chunks, roster, own, other, refuse, place)
+        kept = _kept_rows(chunks, roster, own, other, refuse)
         del chunks
         if kept is None:
             return None
-        sides.append(consume(side, kept, own, other) if type(kept) is list else kept)
-        del kept  # the slots, which consume may have reduced
+        sides.append(kept)
     # The rest of the walk: the document's refusers, if any, and its close.
     if dict(members).get("refusers", []) != refusers:
         return None
     for side in sides:
         if type(side) is Infeasible:
             return side
-    return [rosters[0][0], sides[0], rosters[1][0], sides[1]]
+    return [rosters, sides]
 
 
 def _kept_rosters(girls, boys, refusers):
@@ -314,12 +284,12 @@ def _kept_rosters(girls, boys, refusers):
     return refuse, rosters
 
 
-def _kept_rows(chunks, roster, own: dict, other: dict, refuse: set, place) -> list | Infeasible | None:
-    """One side's roster slots, each holding what ``place`` made of its
-    kept member's row less the refused names, ``()`` for a wildcard; or
-    the first member whose row the refusals empty.  None when a chunk of
-    the list table fails :func:`_names_table_ok` or a key repeats across
-    chunks."""
+def _kept_rows(chunks, roster, own: dict, other: dict, refuse: set) -> list | Infeasible | None:
+    """One side's roster slots, each holding its kept member's row less the
+    refused names as ``other``'s places (:func:`_index_rows`), ``()`` for a
+    wildcard; or the first member whose row the refusals empty.  None when
+    a chunk of the list table fails :func:`_names_table_ok` or a key
+    repeats across chunks."""
     slots = [()] * len(roster)
     keys, refused = 0, []  # every key met, and those of refused members
     emptied = len(roster)  # the first place whose row the refusals empty
@@ -343,7 +313,7 @@ def _kept_rows(chunks, roster, own: dict, other: dict, refuse: set, place) -> li
                 kept = [*map(is_not, places, repeat(None))]
                 refused += compress(chunk, map(not_, kept))
                 places, rows = [*compress(places, kept)], [*compress(rows, kept)]
-        deque(map(slots.__setitem__, places, place(rows, other)), 0)  # placed at C level
+        deque(map(slots.__setitem__, places, _index_rows(rows, other)), 0)  # placed at C level
     # A key met in two chunks fills one slot.
     if len(slots) - slots.count(()) + len(set(refused)) != keys:
         return None
@@ -368,7 +338,7 @@ def _names_table_ok(table, own: dict, other: dict) -> bool:
         return False  # an unhashable entry
 
 
-def _walked_text(text: str, consume, place) -> list | Infeasible | None:
+def _walked_text(text: str) -> list | Infeasible | None:
     """The walk of :func:`prepare_document` over ``text``: each member
     parsed by :func:`_text_members`, a list table chunk by chunk, goes into
     the checked pass as it arrives.  The refusers are read ahead from the
@@ -382,7 +352,7 @@ def _walked_text(text: str, consume, place) -> list | Infeasible | None:
     scan_once = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys).scan_once
     members = _text_members(text, scan_once)
     try:
-        return _checked_tables(members, _refusers_ahead(text, scan_once), consume, place)
+        return _checked_tables(members, _refusers_ahead(text, scan_once))
     except _Unwalkable:
         return None
 
@@ -609,96 +579,78 @@ def parse_result(text: str) -> ResultDoc:
     return ResultDoc("infeasible", infeasible_member=member)
 
 
-class _Pairing:
-    """A solved claim as a per-table consumer: one partner map per side.  A
-    table clears when the claim is injective, each kept listed member's
-    partner is on its row and every name paired on its side is kept; it is
-    then reduced to which paired members are listed.  Any other table is
-    reduced to a claim-sized name table for :func:`assignment_violations`,
-    the one writer of a pairing's problems."""
-
-    def __init__(self, pairs: tuple[tuple[str, str], ...]):
-        self.pairs = pairs
-        self.partners = (dict(pairs), {b: g for g, b in pairs})
-        self.injective = len(self.partners[0]) == len(self.partners[1]) == len(pairs)
-
-    def __call__(self, side: int, rows: list, own: dict, other: dict) -> bytes | dict:
-        partners = self.partners[side]
-        places = [*map(own.get, partners)]
-        if self.injective and None not in places:  # else a name paired twice, refused or on no roster
-            paired = [*map(rows.__getitem__, places)]
-            # A wildcard's row is (): every listed member is paired, on its row.
-            if len(rows) - rows.count(()) == len(paired) - paired.count(()) and all(
-                map(contains, compress(paired, paired), compress(partners.values(), paired))
-            ):
-                return bytes(map(bool, paired))
-        claimed = {}  # each name paired on this side -> every partner the claim gives it
-        for pair in self.pairs:
-            claimed.setdefault(pair[side], []).append(pair[1 - side])
+def _pairing_problems(pairs: tuple[tuple[str, str], ...], rosters: list, rows: list) -> list[str]:
+    """A pairing's problems against the kept rosters' place maps and index
+    rows.  It clears when every paired name is kept, no place is paired
+    twice, every listed member is paired and each listed member's partner
+    is on its row.  Any other pairing is checked by
+    :func:`assignment_violations`, the one writer of a pairing's problems,
+    on a claim-sized instance: each kept member that is listed or paired,
+    in roster order, with the claimed partners on its row, or ``(None,)``
+    when it is listed and the claim gives it no partner on its row."""
+    places = [[*map(own.get, map(itemgetter(side), pairs))] for side, (_, own) in enumerate(rosters)]
+    if all(map(_side_clears, places, rows, reversed(places))):
+        return []
+    claimed = ({}, {})  # each name paired on a side -> every partner the claim gives it
+    for pair in pairs:
+        for side in (0, 1):
+            claimed[side].setdefault(pair[side], []).append(pair[1 - side])
+    tables = []
+    for side in (0, 1):
+        (roster, _), (_, other), partners = rosters[side], rosters[1 - side], claimed[side]
         table = {}
-        # ``own`` maps the refused names to None first, then the kept names
-        # to their places, in roster order.
-        for name, place in own.items():
-            if place is not None and (rows[place] or name in claimed):
-                row = rows[place]
-                cut = tuple(filter(row.__contains__, claimed.get(name, ())))
+        for name, row in zip(roster, rows[side]):
+            if row or name in partners:
+                cut = tuple(p for p in partners.get(name, ()) if other.get(p) in row)
                 table[name] = cut if cut or not row else (None,)
-        return table
-
-    def problems(self, girl_side, boy_side) -> list[str]:
-        if type(girl_side) is type(boy_side) is bytes:
-            return []  # both tables clear
-        tables = []
-        for partners, reduced in zip(self.partners, (girl_side, boy_side)):
-            if type(reduced) is bytes:
-                # A table that clears: each paired member lists its one
-                # partner, or is a wildcard.
-                reduced = {m: (p,) if listed else () for (m, p), listed in zip(partners.items(), reduced)}
-            tables.append(reduced)
-        instance = SmpInstance(tuple(tables[0]), tuple(tables[1]), *tables)
-        return assignment_violations(instance, Assignment(self.pairs))
+        tables.append(table)
+    instance = SmpInstance(tuple(tables[0]), tuple(tables[1]), *tables)
+    return assignment_violations(instance, Assignment(pairs))
 
 
-class _Violator:
-    """A violator claim as a per-table consumer: its side's table reduced to
-    the members' rows, as the other side's places (None for a member with
-    no kept list), and the other table to whether each member is listed
-    and which violator members it lists."""
+def _side_clears(places: list, rows: list, partners: list) -> bool:
+    """Whether one side of a pairing clears: ``places`` are its paired
+    members' places, ``partners`` theirs, pair by pair."""
+    if None in places or len(set(places)) != len(places):
+        return False  # a name refused, on no roster or paired twice
+    paired = [*map(rows.__getitem__, places)]
+    # A wildcard's row is (): every listed member is paired, on its row.
+    return len(rows) - rows.count(()) == len(paired) - paired.count(()) and all(
+        map(contains, compress(paired, paired), compress(partners, paired))
+    )
 
-    def __init__(self, violator: HallViolator):
-        self.violator = violator
-        self.side = ("girls", "boys").index(violator.side)
 
-    def __call__(self, side: int, rows: list, own: dict, other: dict):
-        members = self.violator.members
-        if side == self.side:
-            member_rows = [() if place is None else rows[place] for place in map(own.get, members)]
-            return [row or None for row in _index_rows(member_rows, other)]
-        members = set(members)
-        meeting = compress(count(), map(not_, map(members.isdisjoint, rows)))
-        return bytes(map(bool, rows)), {p: members.intersection(rows[p]) for p in meeting}
-
-    def problems(self, girl_side, boy_side) -> list[str]:
-        violator = self.violator
-        members = violator.members
-        member_rows, (listed, backs) = (boy_side, girl_side) if self.side else (girl_side, boy_side)
-        problems = []
-        if len(set(members)) != len(members):
-            problems.append("violator members repeat")
-        missing = [m for m, row in zip(members, member_rows) if row is None]
-        if missing:
-            problems.append(f"violator members not listed on the {violator.side} side: {missing}")
-            return problems
-        # A partner stays on a member's pared row when it is a wildcard or
-        # lists the member back.
-        union = {p for m, row in zip(members, member_rows) for p in row if not listed[p] or m in backs.get(p, ())}
-        if len(union) != violator.union_size:
-            problems.append(
-                f"recomputed union size {len(union)} differs from claimed {violator.union_size}"
-            )
-        if len(union) >= len(members):
-            problems.append(
-                f"union of pared lists has {len(union)} members, not smaller than the "
-                f"subset of {len(members)}"
-            )
+def _violator_problems(violator: HallViolator, rosters: list, rows: list) -> list[str]:
+    """A violator's problems against the kept rosters' place maps and index
+    rows: each member's row comes from its place, and the union of the
+    pared rows is recounted."""
+    side = ("girls", "boys").index(violator.side)
+    members = violator.members
+    own, member_side, partner_rows = rosters[side][1], rows[side], rows[1 - side]
+    places = [*map(own.get, members)]
+    problems = []
+    if len(set(members)) != len(members):
+        problems.append("violator members repeat")
+    # A refused or unknown member has no place; a wildcard's row is ().
+    member_rows = [() if place is None else member_side[place] for place in places]
+    missing = [*compress(members, map(not_, member_rows))]
+    if missing:
+        problems.append(f"violator members not listed on the {violator.side} side: {missing}")
         return problems
+    listers = defaultdict(set)  # each partner -> the members whose rows hold it
+    for place, row in zip(places, member_rows):
+        for partner in row:
+            listers[partner].add(place)
+    # A partner stays on a member's pared row when it is a wildcard or
+    # lists the member back.
+    union = [p for p, by in listers.items() if not partner_rows[p] or not by.isdisjoint(partner_rows[p])]
+    if len(union) != violator.union_size:
+        problems.append(
+            f"recomputed union size {len(union)} differs from claimed {violator.union_size}"
+        )
+    if len(union) >= len(members):
+        problems.append(
+            f"union of pared lists has {len(union)} members, not smaller than the "
+            f"subset of {len(members)}"
+        )
+    return problems

@@ -68,7 +68,8 @@ class IndexRows:
 @dataclass(frozen=True)
 class IndexView(IndexRows):
     """An instance as the core reads it: the rosters and the index rows,
-    with no name tables.  The solve and check loaders build one."""
+    with no name tables.  The solve and check loaders build one; verify
+    checks its claim against the same load's rows and builds none."""
 
     girls: tuple[str, ...]
     boys: tuple[str, ...]

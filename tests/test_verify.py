@@ -1,12 +1,15 @@
-"""``verify``'s claim check inside the checked pass, against the name-level
-check; the order in which ``verify`` reports a bad instance and a bad
-result; and the guard on a pass that rejects a valid document.
+"""``verify``'s claim check, against the name-level check; the order in
+which ``verify`` reports a bad instance and a bad result; and the guard on
+a pass that rejects a valid document.
 
-``fileio.claim_problems`` reduces each list table to what a pairing or a
-violator needs as soon as the pass has filtered it, and writes every
-problem it finds with the claim.  The name-level check re-derives the
-claim from the whole instance the reference load builds, through
-``assignment_violations`` or ``reference_violator_problems``.  A
+``fileio.claim_problems`` loads the instance as ``solve`` loads it and
+checks a pairing or a violator against the kept rosters' place maps and
+index rows that load returns, writing every problem it finds with the
+claim.  That load is ``solve``'s too; the name-level check loads on its
+own, so a fault the two commands share shows here as a difference.  The
+name-level check re-derives the claim from the whole instance the
+reference load builds, through ``assignment_violations`` or
+``reference_violator_problems``.  A
 differential test (McKeeman, "Differential testing for software", 1998)
 draws documents and claims, solver outputs and forgeries, and holds the
 two to the same problems, message for message, or the same error for a
