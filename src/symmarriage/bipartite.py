@@ -1,11 +1,11 @@
-"""Maximum bipartite matching (Hopcroft-Karp) and Hall-style certificates.
+"""Maximum bipartite matching (Hopcroft-Karp) and the König witness.
 
 The matcher is deterministic: vertices are visited in ascending index
 order, so repeated calls on the same graph return the identical matching,
 whichever side its phases are layered from.
-When a maximum matching leaves a left vertex exposed, a deficiency
-certificate (a subset whose neighborhood is strictly smaller, the
-König/Hall witness) is read off that matching without matching again.
+When a maximum matching leaves a left vertex exposed, the core reads a
+Hall violator (a left subset with strictly fewer neighbours, the König
+witness) off its left match array, without matching again.
 """
 
 from __future__ import annotations
@@ -71,41 +71,17 @@ class Matching:
         if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
             raise ValueError("matching touches a vertex twice")
 
-    @classmethod
-    def _from_checked_pairs(cls, pairs: tuple[tuple[int, int], ...]) -> "Matching":
-        """A matching the matcher built, which touches each vertex once.
-
-        Skips the check of ``__post_init__``, which the public constructor
-        would pass on the same pairs.
-        """
-        matching = object.__new__(cls)
-        object.__setattr__(matching, "pairs", pairs)
-        return matching
-
     @cached_property
     def left_map(self) -> dict[int, int]:
         return dict(self.pairs)
-
-    @cached_property
-    def right_map(self) -> dict[int, int]:
-        return {v: u for u, v in self.pairs}
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class DeficiencyCertificate:
-    """A left subset with fewer neighbors than members."""
-
-    subset: tuple[int, ...]
-    neighborhood: tuple[int, ...]
-
-
-def max_matching(graph: BipartiteGraph, transpose: Sequence[Sequence[int]] | None = None) -> Matching:
+def max_matching(graph: BipartiteGraph) -> Matching:
     """Maximum-cardinality matching, canonical under the input order (:func:`_match_array`)."""
-    pairs = enumerate(_match_array(graph, transpose))
-    return Matching._from_checked_pairs(tuple(pair for pair in pairs if pair[1] != -1))
+    return Matching(tuple(pair for pair in enumerate(_match_array(graph)) if pair[1] != -1))
 
 
 def _match_array(graph: BipartiteGraph, transpose: Sequence[Sequence[int]] | None = None) -> list[int]:
@@ -270,31 +246,10 @@ def _augment(adj, match_l, match_r, dist, goal, root) -> bool:
     return False
 
 
-def deficiency_certificate(
-    graph: BipartiteGraph, matching: Matching, left: Iterable[int]
-) -> DeficiencyCertificate | None:
-    """Witness, read off a maximum ``matching``, that ``left`` cannot all be matched.
-
-    Returns None when the matching covers every vertex of ``left``.
-    Otherwise alternating reachability from the smallest exposed vertex of
-    ``left`` (König) yields a left subset adjacent to strictly fewer right
-    vertices; the matching must be maximum for that bound to hold.
-    """
-    match_l = [-1] * graph.left_count
-    for u, v in matching.pairs:
-        match_l[u] = v
-    exposed = None
-    for u in left:
-        if not 0 <= u < graph.left_count:
-            raise ValueError(f"left vertex {u} out of range")
-        if match_l[u] == -1 and (exposed is None or u < exposed):
-            exposed = u
-    return None if exposed is None else _certificate(graph, match_l, exposed)
-
-
-def _certificate(graph: BipartiteGraph, match_l: list[int], exposed: int) -> DeficiencyCertificate:
+def _certificate(graph: BipartiteGraph, match_l: list[int], exposed: int) -> tuple[list[int], int]:
     """Alternating reachability from ``exposed``, free in the maximum matching
-    whose left match array is ``match_l``: the left vertices reached, and their neighbours."""
+    whose left match array is ``match_l``: the left vertices reached, sorted,
+    and how many neighbours they have, fewer than they are (König)."""
     match_r = [-1] * graph.right_count
     for u, v in enumerate(match_l):
         if v != -1:
@@ -313,4 +268,4 @@ def _certificate(graph: BipartiteGraph, match_l: list[int], exposed: int) -> Def
                         seen_left.add(w)
                         nxt.append(w)
         frontier = nxt
-    return DeficiencyCertificate(tuple(sorted(seen_left)), tuple(sorted(seen_right)))
+    return sorted(seen_left), len(seen_right)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain, compress, count, filterfalse, islice, repeat
@@ -637,13 +637,14 @@ def _violator_problems(violator: HallViolator, rosters: list, rows: list) -> lis
     if missing:
         problems.append(f"violator members not listed on the {violator.side} side: {missing}")
         return problems
-    listers = defaultdict(set)  # each partner -> the members whose rows hold it
-    for place, row in zip(places, member_rows):
-        for partner in row:
-            listers[partner].add(place)
     # A partner stays on a member's pared row when it is a wildcard or
     # lists the member back.
-    union = [p for p, by in listers.items() if not partner_rows[p] or not by.isdisjoint(partner_rows[p])]
+    union = {
+        p
+        for place, row in zip(places, member_rows)
+        for p in row
+        if not partner_rows[p] or place in partner_rows[p]
+    }
     if len(union) != violator.union_size:
         problems.append(
             f"recomputed union size {len(union)} differs from claimed {violator.union_size}"

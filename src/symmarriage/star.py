@@ -330,9 +330,8 @@ def _match_listed(
     match = _match_array(graph)
     if -1 not in match:
         return match, None
-    cert = _certificate(graph, match, match.index(-1))
-    members = tuple(names[listed[u]] for u in cert.subset)
-    return match, HallViolator(side, members, len(cert.neighborhood))
+    subset, union_size = _certificate(graph, match, match.index(-1))
+    return match, HallViolator(side, tuple(names[listed[u]] for u in subset), union_size)
 
 
 def _components(

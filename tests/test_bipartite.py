@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from symmarriage import (
-    BipartiteGraph,
-    Matching,
-    deficiency_certificate,
-    max_matching,
-)
+from symmarriage import BipartiteGraph, Matching, max_matching
 from symmarriage import bipartite as bipartite_module
 from symmarriage.bipartite import _certificate, _match_array
 
@@ -163,6 +158,28 @@ def _reference_augment(adj, match_l, match_r, dist, goal, root):
     return False
 
 
+def pairs_of(match):
+    """A left match array's (left, right) pairs."""
+    return tuple((u, v) for u, v in enumerate(match) if v != -1)
+
+
+def reference_certificate(graph, match_l, root):
+    """Alternating reachability from ``root``, exposed in the maximum
+    matching whose left match array is ``match_l``, searched depth first:
+    the left vertices reached, sorted, and how many neighbours they have.
+    Every neighbour reached is matched, or the matching would not be
+    maximum."""
+    owner = {v: u for u, v in enumerate(match_l) if v != -1}
+    members, union, stack = {root}, set(), [root]
+    while stack:
+        for v in graph.adjacency[stack.pop()]:
+            union.add(v)
+            if owner[v] not in members:
+                members.add(owner[v])
+                stack.append(owner[v])
+    return sorted(members), len(union)
+
+
 def transpose_of(graph):
     rows = [[] for _ in range(graph.right_count)]
     for u, row in enumerate(graph.adjacency):
@@ -183,17 +200,18 @@ def surplus_left_graph(rng, n_right):
 
 
 def assert_arrays_agree(g):
-    """The left match array is ``max_matching``'s pairs, with and without the
-    transpose, and the certificate read off it is ``deficiency_certificate``'s,
-    over every left vertex and over the even ones."""
+    """The left match array holds the reference matching's pairs, with and
+    without the transpose, and the certificate read off it from each
+    exposed vertex is the reference's: a left subset with fewer neighbours."""
+    expected = reference_max_matching(g).pairs
     for transpose in (None, transpose_of(g)):
         match = _match_array(g, transpose)
-        matching = max_matching(g, transpose)
-        assert tuple((u, v) for u, v in enumerate(match) if v != -1) == matching.pairs
-        for left in (range(g.left_count), range(0, g.left_count, 2)):
-            exposed = [u for u in left if match[u] == -1]
-            expected = deficiency_certificate(g, matching, left)
-            assert (_certificate(g, match, exposed[0]) if exposed else None) == expected
+        assert pairs_of(match) == expected
+        for u in range(g.left_count):
+            if match[u] == -1:
+                subset, union_size = _certificate(g, match, u)
+                assert (subset, union_size) == reference_certificate(g, match, u)
+                assert union_size < len(subset)
 
 
 @pytest.fixture
@@ -217,7 +235,7 @@ class TestLayeringOracle:
         g = graph(*data)
         expected = reference_max_matching(g)
         assert max_matching(g) == expected
-        assert max_matching(g, transpose_of(g)) == expected
+        assert pairs_of(_match_array(g, transpose_of(g))) == expected.pairs
 
     @given(bipartite_adjacencies(max_left=9, max_right=9))
     @settings(deadline=None, max_examples=300)
@@ -230,7 +248,7 @@ class TestLayeringOracle:
             g = surplus_left_graph(rng, int(rng.integers(1, 30)))
             expected = reference_max_matching(g)
             assert max_matching(g) == expected
-            assert max_matching(g, transpose_of(g)) == expected
+            assert pairs_of(_match_array(g, transpose_of(g))) == expected.pairs
         assert len(backward_phases) >= 100
 
     def test_long_augmenting_paths_layered_backward(self, backward_phases):
@@ -241,7 +259,7 @@ class TestLayeringOracle:
             g = graph(n + 2, n, [(k, k + 1) for k in range(n - 1)] + [(0,)] * 3)
             expected = reference_max_matching(g)
             assert len(expected) == n
-            assert max_matching(g, transpose_of(g)) == expected
+            assert pairs_of(_match_array(g, transpose_of(g))) == expected.pairs
         assert len(backward_phases) == 3
 
     @pytest.mark.parametrize("n", [2, 5, 40])
@@ -251,7 +269,7 @@ class TestLayeringOracle:
 
     def test_transpose_row_count_checked(self):
         with pytest.raises(ValueError, match="one row per right vertex"):
-            max_matching(SHARED_NEIGHBOR, ((0, 1), ()))
+            _match_array(SHARED_NEIGHBOR, ((0, 1), ()))
 
     def test_stops_at_saturation_without_a_final_phase(self, monkeypatch):
         phases = []
@@ -285,75 +303,40 @@ class TestCheckedPairsConstructor:
     @given(bipartite_adjacencies())
     @settings(deadline=None)
     def test_matcher_result_equals_public_constructor(self, data):
-        # The matcher's own result skips the re-check, and is the matching
-        # the public constructor accepts.
         matching = max_matching(graph(*data))
         assert matching == Matching(matching.pairs)
         assert hash(matching) == hash(Matching(matching.pairs))
         assert matching.left_map == dict(matching.pairs)
 
-    def test_matcher_runs_no_check(self, monkeypatch):
-        checked = []
-        monkeypatch.setattr(Matching, "__post_init__", lambda self: checked.append(self.pairs))
-        assert len(max_matching(SHARED_NEIGHBOR)) == 1
-        assert checked == []
-
 
 class TestDeficiencyCertificate:
+    """The König witness the core reads off its left match array."""
+
     def test_shared_neighbor_certificate(self):
-        m = max_matching(SHARED_NEIGHBOR)
-        cert = deficiency_certificate(SHARED_NEIGHBOR, m, (0, 1))
-        assert cert.subset == (0, 1)
-        assert cert.neighborhood == (0,)
-
-    def test_perfect_matching_has_no_certificate(self):
-        g = graph(2, 2, [(0,), (1,)])
-        assert deficiency_certificate(g, max_matching(g), (0, 1)) is None
-
-    def test_empty_required_is_vacuous(self):
-        m = max_matching(SHARED_NEIGHBOR)
-        assert deficiency_certificate(SHARED_NEIGHBOR, m, ()) is None
-
-    def test_restriction_ignores_other_left_vertices(self):
-        # The matching leaves vertex 1 exposed, but only vertex 0 must be
-        # covered.
-        m = max_matching(SHARED_NEIGHBOR)
-        assert m.pairs == ((0, 0),)
-        assert deficiency_certificate(SHARED_NEIGHBOR, m, (0,)) is None
-
-    def test_rejects_out_of_range_required(self):
-        with pytest.raises(ValueError, match="out of range"):
-            deficiency_certificate(SHARED_NEIGHBOR, Matching(()), (5,))
+        match = _match_array(SHARED_NEIGHBOR)
+        assert match == [0, -1]
+        assert _certificate(SHARED_NEIGHBOR, match, 1) == ([0, 1], 1)
 
     def test_starts_from_smallest_exposed_vertex(self):
-        # Vertices 1 and 3 are exposed; reachability from 1 stays in the
-        # first component.
+        # Vertices 1 and 3 are exposed; the core starts from the smallest,
+        # and reachability from it stays in the first component.
         g = graph(4, 2, [(0,), (0,), (1,), (1,)])
-        cert = deficiency_certificate(g, max_matching(g), (3, 2, 1, 0))
-        assert cert.subset == (0, 1)
-        assert cert.neighborhood == (0,)
+        match = _match_array(g)
+        assert match.index(-1) == 1
+        assert _certificate(g, match, 1) == ([0, 1], 1)
+        assert _certificate(g, match, 3) == ([2, 3], 1)
 
     @given(bipartite_adjacencies())
     @settings(deadline=None, max_examples=300)
     def test_certificate_self_checks(self, data):
         n_left, n_right, rows = data
         g = graph(n_left, n_right, rows)
-        cert = deficiency_certificate(g, max_matching(g), range(n_left))
-        if cert is None:
-            assert len(max_matching(g)) == n_left
-        else:
-            union = set()
-            for u in cert.subset:
-                union.update(rows[u])
-            assert set(cert.neighborhood) == union
-            assert len(cert.neighborhood) < len(cert.subset)
-
-    @given(bipartite_adjacencies())
-    @settings(deadline=None, max_examples=300)
-    def test_none_iff_left_covered(self, data):
-        n_left, n_right, rows = data
-        g = graph(n_left, n_right, rows)
-        m = max_matching(g)
-        for left in (range(n_left), range(0, n_left, 2)):
-            covered = all(u in m.left_map for u in left)
-            assert (deficiency_certificate(g, m, left) is None) == covered
+        match = _match_array(g)
+        if -1 not in match:
+            assert brute_matching_size(rows) == n_left
+        for u in range(n_left):
+            if match[u] == -1:
+                subset, union_size = _certificate(g, match, u)
+                union = set().union(*(rows[k] for k in subset))
+                assert u in subset
+                assert union_size == len(union) < len(subset)

@@ -1,6 +1,7 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import symmarriage
 
 MODULES = sorted(Path(symmarriage.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _tree(path):
@@ -57,6 +59,29 @@ def test_no_unused_imports(path):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
     unused = imported - _loaded_names(tree) - _exported(tree)
     assert not unused, f"{path.name} never uses {sorted(unused)}"
+
+
+def test_every_export_has_a_reader():
+    # A public name that only its own definition and its unit tests read is
+    # dead weight.  Readers are the package's modules but ``__init__.py``
+    # (outside the name's own top-level definition), the benchmark's
+    # modules, the README and the acceptance tests.
+    package = [
+        (getattr(node, "name", None), _loaded_names(node))
+        for path in MODULES
+        if path.name != "__init__.py"
+        for node in _tree(path).body
+    ]
+    outside = [_tree(path) for path in sorted((REPO / "bench").glob("*.py"))]
+    outside.append(_tree(REPO / "tests" / "test_acceptance.py"))
+    read = set().union(*map(_loaded_names, outside))
+    read.update(re.findall(r"\w+", (REPO / "README.md").read_text(encoding="utf-8")))
+    unread = [
+        name
+        for name in symmarriage.__all__
+        if name not in read and not any(name in names for defined, names in package if defined != name)
+    ]
+    assert unread == [], f"exported names nothing outside their definitions reads: {unread}"
 
 
 def _private_definitions(tree):

@@ -30,7 +30,6 @@ from symmarriage import (
     assignment_violations,
     build_star_graph,
     cmp_to_smp,
-    deficiency_certificate,
     extract_assignment,
     find_mismatches,
     gen_tournament,
@@ -186,30 +185,8 @@ class TestSolve:
 
 def reference_violator(inst):
     """Certificate computed apart from the star graph: match each pared
-    one-sided graph on its own, girls first, then follow alternating paths
-    from the smallest listed member left exposed."""
-    pared_g, pared_b = pared_index_lists(inst)
-    sides = (
-        ("girls", inst.listed_girl_idx, inst.girls, pared_g, len(inst.boys)),
-        ("boys", inst.listed_boy_idx, inst.boys, pared_b, len(inst.girls)),
-    )
-    for side, listed, names, pared, n_right in sides:
-        rows = [pared[m] for m in listed]
-        matched = max_matching(BipartiteGraph(len(rows), n_right, tuple(rows))).left_map
-        exposed = [k for k in range(len(rows)) if k not in matched]
-        if not exposed:
-            continue
-        owner = {v: k for k, v in matched.items()}
-        members, union = {exposed[0]}, set()
-        stack = [exposed[0]]
-        while stack:
-            for v in rows[stack.pop()]:
-                union.add(v)
-                if owner[v] not in members:
-                    members.add(owner[v])
-                    stack.append(owner[v])
-        return HallViolator(side, tuple(names[listed[k]] for k in sorted(members)), len(union))
-    return None
+    one-sided graph on its own, girls first (:func:`reference_match_side`)."""
+    return reference_match_side(inst, "girls")[1] or reference_match_side(inst, "boys")[1]
 
 
 class TestCertificate:
@@ -464,19 +441,29 @@ def reference_match_side(inst, side):
     """One side's pared one-sided graph matched on its own, listed members on
     the left: the rows come from ``pared_index_lists`` and pass the public
     ``BipartiteGraph`` constructor.  Returns the matching and, when it
-    leaves a listed member exposed, the violator read off it."""
+    leaves a listed member exposed, the violator read off it by following
+    alternating paths from the smallest exposed member."""
     pared_g, pared_b = pared_index_lists(inst)
     if side == "girls":
-        listed, names, rows, n_right = inst.listed_girl_idx, inst.girls, pared_g, len(inst.boys)
+        listed, names, pared, n_right = inst.listed_girl_idx, inst.girls, pared_g, len(inst.boys)
     else:
-        listed, names, rows, n_right = inst.listed_boy_idx, inst.boys, pared_b, len(inst.girls)
-    graph = BipartiteGraph(len(listed), n_right, tuple(rows[m] for m in listed))
-    matching = max_matching(graph)
-    cert = deficiency_certificate(graph, matching, range(len(listed)))
-    if cert is None:
+        listed, names, pared, n_right = inst.listed_boy_idx, inst.boys, pared_b, len(inst.girls)
+    rows = tuple(pared[m] for m in listed)
+    matching = max_matching(BipartiteGraph(len(listed), n_right, rows))
+    matched = matching.left_map
+    exposed = [k for k in range(len(rows)) if k not in matched]
+    if not exposed:
         return matching, None
-    members = tuple(names[listed[u]] for u in cert.subset)
-    return matching, HallViolator(side, members, len(cert.neighborhood))
+    owner = {v: k for k, v in matched.items()}
+    members, union = {exposed[0]}, set()
+    stack = [exposed[0]]
+    while stack:
+        for v in rows[stack.pop()]:
+            union.add(v)
+            if owner[v] not in members:
+                members.add(owner[v])
+                stack.append(owner[v])
+    return matching, HallViolator(side, tuple(names[listed[k]] for k in sorted(members)), len(union))
 
 
 def assert_core_matches_reference_sides(inst):
@@ -1112,7 +1099,7 @@ class TestSolverAgainstOracle:
                 assert (u in listed_g) + (v in listed_b) == 1
         m = shuffled_max_matching(star, np.random.default_rng(seed))
         if len(m) == star.target_size:
-            assert listed_g <= set(m.left_map) and listed_b <= set(m.right_map)
+            assert listed_g <= set(m.left_map) and listed_b <= {v for _, v in m.pairs}
 
 
 class TestTriangleFixture:

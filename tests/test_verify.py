@@ -17,6 +17,7 @@ bad document.
 """
 
 import json
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,9 @@ from symmarriage import (
     solve,
 )
 from symmarriage.cli import main
-from symmarriage.fileio import ParseError, ResultDoc, serialize_result
+from symmarriage.fileio import ParseError, ResultDoc, serialize_instance, serialize_result
 
+from .conftest import smp_instances
 from .test_cli import (
     LOAD_BASE,
     instance_objects,
@@ -81,13 +83,22 @@ def strings(value):
     return [name for name in value if type(name) is str] if type(value) is list else []
 
 
+def accepts(lists, member, partner):
+    """Whether ``member`` is a wildcard or lists ``partner``."""
+    return not lists.get(member) or partner in lists[member]
+
+
+EDITS = ("none", "refused", "unknown", "repeat", "repoint", "drop", "wildcards", "random")
+
+
 @st.composite
-def forged_pairs(draw, pairs, girls, boys, refused, wildcards):
-    """A solver's pairs, or the pairs edited: a refused, unknown or repeated
-    name, a pair dropped (a listed member unpaired), a pair of two
-    wildcards added, or pairs drawn at random."""
+def forged_pairs(draw, pairs, girls, boys, refused, wildcards, lists=({}, {}), edits=EDITS):
+    """A solver's pairs, or the pairs edited (one of ``edits``): a refused,
+    unknown or repeated name, a pair re-pointed at another pair's boy, a
+    pair dropped (a listed member unpaired), a pair of two wildcards added,
+    or pairs drawn at random.  ``lists`` are the kept girls' and boys' lists."""
     pairs = list(pairs)
-    edit = draw(st.sampled_from(["none", "refused", "unknown", "repeat", "drop", "wildcards", "random"]))
+    edit = draw(st.sampled_from(edits))
     if edit == "refused" and pairs and refused:
         i = draw(st.integers(0, len(pairs) - 1))
         name = draw(st.sampled_from(refused))
@@ -97,6 +108,21 @@ def forged_pairs(draw, pairs, girls, boys, refused, wildcards):
     elif edit == "repeat" and pairs:
         g, b = draw(st.sampled_from(pairs))
         pairs.append((g, draw(st.sampled_from(boys))) if draw(st.booleans()) else (draw(st.sampled_from(girls)), b))
+    elif edit == "repoint" and len(pairs) > 1:
+        girl_lists, boy_lists = lists
+        moves = list(permutations(range(len(pairs)), 2))
+        # Aimed, where it can be, at a pairing only injectivity rejects: girl
+        # i and boy j accept each other, and boys i and j are both listed or
+        # both wildcards, so as many listed boys are paired as before.
+        aimed = [
+            (i, j)
+            for i, j in moves
+            if accepts(girl_lists, pairs[i][0], pairs[j][1])
+            and accepts(boy_lists, pairs[j][1], pairs[i][0])
+            and bool(boy_lists.get(pairs[i][1])) == bool(boy_lists.get(pairs[j][1]))
+        ]
+        i, j = draw(st.sampled_from(aimed or moves))
+        pairs[i] = (pairs[i][0], pairs[j][1])
     elif edit == "drop" and pairs:
         del pairs[draw(st.integers(0, len(pairs) - 1))]
     elif edit == "wildcards" and wildcards[0] and wildcards[1]:
@@ -140,13 +166,13 @@ def claimed_documents(draw):
     girls, boys = strings(doc.get("girls")) + ["gz"], strings(doc.get("boys")) + ["bz"]
     refused = strings(doc.get("refusers"))
     want = load_outcome(reference_load, text)
-    pairs, violator, wildcards = (), None, ([], [])
+    pairs, violator, wildcards, lists = (), None, ([], []), ({}, {})
     if isinstance(want, SmpInstance):
         outcome = solve(want)
         if isinstance(outcome, Unsolvable):
             violator = outcome.violator
         else:
-            pairs = outcome.pairs
+            pairs, lists = outcome.pairs, (want.girl_lists, want.boy_lists)
             paired = {name for pair in pairs for name in pair}
             wildcards = tuple(
                 [m for m, row in lists.items() if not row and m not in paired]
@@ -154,7 +180,7 @@ def claimed_documents(draw):
             )
     status = draw(st.sampled_from(["solved", "unsolvable", "infeasible"]))
     if status == "solved":
-        return text, ResultDoc("solved", assignment=draw(forged_pairs(pairs, girls, boys, refused, wildcards)))
+        return text, ResultDoc("solved", assignment=draw(forged_pairs(pairs, girls, boys, refused, wildcards, lists)))
     if status == "unsolvable":
         return text, ResultDoc("unsolvable", violator=draw(forged_violators(violator, girls, boys, refused)))
     emptied = [want.member] if isinstance(want, Infeasible) else []
@@ -185,6 +211,9 @@ FORGED_PAIRS = {
     "unknown boy": (VALID_PAIRS + (("g5", "bz"),), False),
     "girl paired twice": (VALID_PAIRS + (("g4", "b5"),), False),
     "boy paired twice": (VALID_PAIRS + (("g5", "b3"),), False),
+    # b3 is paired twice and the listed b4 not at all; every partner is on
+    # its row and as many listed members are paired as are listed.
+    "boy paired twice, a listed boy unpaired": ((("g1", "b1"), ("g2", "b2"), ("g3", "b3"), ("g5", "b3")), False),
     "listed boy unpaired": (VALID_PAIRS[:3], False),
     "listed girl unpaired": ((("g2", "b1"), ("g5", "b2"), ("g3", "b3"), ("g4", "b4")), False),
     "off the girl's list only": ((("g1", "b5"), ("g2", "b2"), ("g3", "b1"), ("g4", "b4"), ("g5", "b3")), False),
@@ -223,6 +252,19 @@ class TestClaimCheckOracle:
     @settings(deadline=None, max_examples=400)
     def test_same_problems_as_the_name_level_check(self, claim):
         assert_cleared_alike(*claim)
+
+    @given(smp_instances(), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_repointed_pairing(self, inst, data):
+        # Most valid instances have a pairing long enough to re-point; the
+        # documents above seldom do.
+        outcome = solve(inst)
+        if isinstance(outcome, Assignment):
+            lists = (inst.girl_lists, inst.boy_lists)
+            edit = forged_pairs(outcome.pairs, list(inst.girls), list(inst.boys), [], ([], []), lists, ("repoint",))
+            pairs = data.draw(edit)
+            problems = assert_cleared_alike(serialize_instance(inst), ResultDoc("solved", assignment=pairs))
+            assert bool(problems) is (pairs != outcome.pairs)
 
     @pytest.mark.parametrize("case", list(FORGED_PAIRS))
     def test_forged_pairing(self, case, tmp_path, capsys):
